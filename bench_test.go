@@ -318,21 +318,6 @@ func BenchmarkTraceGen(b *testing.B) {
 
 // ---- Microbenchmarks of the simulation substrate itself ----
 
-// BenchmarkCoverageLTCords measures the trace-driven simulation rate
-// (references per op) with the full LT-cords predictor attached.
-func BenchmarkCoverageLTCords(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p, _ := workload.ByName("swim")
-		lt := core.MustNew(sim.PaperL1D(), core.DefaultParams())
-		cov, err := sim.RunCoverage(p.Source(workload.Small, 1), lt, sim.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(cov.Refs), "refs/op")
-		b.ReportMetric(cov.CoveragePct()*100, "coverage%")
-	}
-}
-
 // BenchmarkCoverageDBCPUnlimited measures the oracle-DBCP simulation rate.
 func BenchmarkCoverageDBCPUnlimited(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -377,19 +362,5 @@ func BenchmarkTimingEngine(b *testing.B) {
 		}
 		lt := eLT.Run(p.Source(workload.Small, 1), core.MustNew(sim.PaperL1D(), core.DefaultParams()))
 		b.ReportMetric(stats.PercentChange(float64(base.Cycles), float64(lt.Cycles)), "mcf-speedup%")
-	}
-}
-
-// BenchmarkWorkloadGeneration measures raw reference generation throughput.
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	p, _ := workload.ByName("swim")
-	src := p.Source(workload.Large, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := src.Next(); !ok {
-			b.StopTimer()
-			src = p.Source(workload.Large, 1)
-			b.StartTimer()
-		}
 	}
 }

@@ -363,7 +363,7 @@ func daemonCheck(ref string) {
 	}
 
 	// A panicking cell on the shared scheduler fails only itself.
-	if _, err := sched.Do(runner.Cell{Key: "faultcheck-panic", Run: func() (any, error) {
+	if _, err := sched.Do(context.Background(), runner.Cell{Key: "faultcheck-panic", Run: func() (any, error) {
 		panic("injected cell panic")
 	}}); err == nil {
 		fail(fmt.Errorf("panicking cell returned nil error"))

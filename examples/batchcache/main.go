@@ -1,13 +1,10 @@
 // Batch-first cache driving: how to pump reference batches straight into
 // the cache layer (the DESIGN.md §9 contract) when building a custom
-// analysis instead of using the sim drivers. Three idioms:
+// analysis instead of using the sim drivers. Two idioms:
 //
 //  1. AccessBatch — full per-access results (hits, eviction records);
 //  2. AccessBatchHits — same state evolution, hit bits only, for
-//     base-system modeling where eviction details are never consumed;
-//  3. PairAccessBatch — two same-geometry caches fed one stream with a
-//     single set-index/tag extraction pass (the shadow+main double lookup,
-//     sound here because nothing interleaves with the batch).
+//     base-system modeling where eviction details are never consumed.
 //
 // The scalar Access remains available as a one-element adapter, but new
 // code that holds whole batches should not drip references through it.
@@ -36,9 +33,8 @@ func main() {
 	}
 	src := mkSrc()
 
-	// The paper's LRU L1D and a FIFO-replacement twin: same geometry, so
-	// one batched stream (and one extraction pass) measures both policies
-	// in a single walk.
+	// The paper's LRU L1D and a FIFO-replacement twin: one batched stream
+	// measures both policies in a single walk.
 	l1 := cache.MustNew(sim.PaperL1D())
 	fifoCfg := sim.PaperL1D()
 	fifoCfg.Name, fifoCfg.Policy = "L1D-fifo", cache.FIFO
@@ -60,9 +56,10 @@ func main() {
 			break
 		}
 		lanes.Fill(refs[:n])
-		// Both caches share one extraction pass; the full results are
-		// available per access for custom bookkeeping.
-		l1.PairAccessBatch(fifo, lanes.Addrs[:n], lanes.Writes[:n], lanes.Nows[:n], resA[:n], resB[:n])
+		// The full results are available per access for custom
+		// bookkeeping.
+		l1.AccessBatch(lanes.Addrs[:n], lanes.Writes[:n], lanes.Nows[:n], resA[:n])
+		fifo.AccessBatch(lanes.Addrs[:n], lanes.Writes[:n], lanes.Nows[:n], resB[:n])
 		for i := 0; i < n; i++ {
 			if resA[i].Evicted.Valid && resA[i].Evicted.Dirty {
 				dirtyEvicts++

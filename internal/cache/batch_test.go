@@ -117,41 +117,6 @@ func TestAccessBatchScalarEquivalence(t *testing.T) {
 	}
 }
 
-// TestPairAccessBatchEquivalence pins the paired double lookup against the
-// scalar interleaving outC[i] = c.Access(...); outPeer[i] = peer.Access(...).
-func TestPairAccessBatchEquivalence(t *testing.T) {
-	cfg := Config{Name: "pair", Size: 2048, BlockSize: 64, Assoc: 2}
-	rng := rand.New(rand.NewSource(11))
-	bc := genCase(rng, 3000, 1<<12)
-
-	pa, pb := MustNew(cfg), MustNew(cfg)
-	sa, sb := MustNew(cfg), MustNew(cfg)
-	gotA := make([]AccessResult, len(bc.addrs))
-	gotB := make([]AccessResult, len(bc.addrs))
-	pa.PairAccessBatch(pb, bc.addrs, bc.writes, bc.nows, gotA, gotB)
-	for i := range bc.addrs {
-		wantA := sa.Access(bc.addrs[i], bc.writes[i], bc.nows[i])
-		wantB := sb.Access(bc.addrs[i], bc.writes[i], bc.nows[i])
-		if gotA[i] != wantA || gotB[i] != wantB {
-			t.Fatalf("access %d: pair (%+v, %+v), scalar (%+v, %+v)", i, gotA[i], gotB[i], wantA, wantB)
-		}
-	}
-	if pa.Stats() != sa.Stats() || pb.Stats() != sb.Stats() {
-		t.Fatalf("paired stats diverge: (%+v, %+v) vs (%+v, %+v)", pa.Stats(), pb.Stats(), sa.Stats(), sb.Stats())
-	}
-}
-
-func TestPairAccessBatchGeometryMismatchPanics(t *testing.T) {
-	a := MustNew(Config{Name: "a", Size: 1024, BlockSize: 64, Assoc: 1})
-	b := MustNew(Config{Name: "b", Size: 2048, BlockSize: 64, Assoc: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("geometry mismatch must panic")
-		}
-	}()
-	a.PairAccessBatch(b, []mem.Addr{0}, []bool{false}, []uint64{0}, make([]AccessResult, 1), make([]AccessResult, 1))
-}
-
 // TestColdFillStats pins the eviction accounting on cold fills: filling an
 // empty cache to capacity displaces nothing, so Evictions (and its dirty /
 // prefetch-unused breakdowns) must stay zero and every result must carry a

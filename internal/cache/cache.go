@@ -6,7 +6,7 @@
 //
 // The tag store is laid out structure-of-arrays (parallel tag / packed-flag
 // / stamp arrays, see DESIGN.md §9): the lookup loop touches only the tag
-// lane, and the batch entry points (AccessBatch, PairAccessBatch) hoist
+// lane, and the batch entry points (AccessBatch, AccessBatchHits) hoist
 // set-index/tag extraction into a separate pass over the whole batch so it
 // compiles to straight-line shift/mask code. AccessBatch is the primary
 // demand-access contract; the scalar Access is a one-element adapter kept
@@ -363,8 +363,7 @@ func (c *Cache) AccessIndexed(idx int, tag mem.Addr, write bool, now uint64) Acc
 //
 // Access is the one-element adapter over the batch contract: it extracts
 // idx/tag for a single address and defers to AccessIndexed. Hot loops that
-// hold whole reference batches should call AccessBatch (or PairAccessBatch
-// for a shadow+main double lookup) instead.
+// hold whole reference batches should call AccessBatch instead.
 func (c *Cache) Access(a mem.Addr, write bool, now uint64) AccessResult {
 	return c.AccessIndexed(c.geo.Index(a), c.geo.Tag(a), write, now)
 }
@@ -489,34 +488,6 @@ func (c *Cache) AccessBatchHits(addrs []mem.Addr, writes []bool, now []uint64, h
 	c.stats.DirtyEvictions += dirtyEv
 	c.stats.PrefetchUnused += pfUnused
 	c.stats.PrefetchHits += pfHits
-}
-
-// PairAccessBatch drives one access sequence through two caches of
-// identical geometry — the shadow+main double lookup of the coverage
-// methodology — sharing a single set-index/tag extraction pass. For each i
-// the access hits c first, then peer, preserving the scalar interleaving
-//
-//	outC[i] = c.Access(addrs[i], ...); outPeer[i] = peer.Access(addrs[i], ...)
-//
-// It is only sound when nothing else (prefetch fills, invalidations) must
-// interleave with the batch on either cache; drivers with an active
-// prefetcher batch the shadow side alone and keep the main side scalar.
-// Panics if the two geometries differ. Slice contract as in AccessBatch.
-func (c *Cache) PairAccessBatch(peer *Cache, addrs []mem.Addr, writes []bool, now []uint64, outC, outPeer []AccessResult) {
-	if c.geo != peer.geo {
-		panic(fmt.Sprintf("cache: PairAccessBatch geometry mismatch (%q vs %q)", c.cfg.Name, peer.cfg.Name))
-	}
-	n := len(addrs)
-	if n == 0 {
-		return
-	}
-	writes, now, outC, outPeer = writes[:n], now[:n], outC[:n], outPeer[:n]
-	c.extract(addrs)
-	for i := 0; i < n; i++ {
-		idx, tag := int(c.setScratch[i]), c.tagScratch[i]
-		outC[i] = c.AccessIndexed(idx, tag, writes[i], now[i])
-		outPeer[i] = peer.AccessIndexed(idx, tag, writes[i], now[i])
-	}
 }
 
 // InsertPrefetch fills block a without a demand access. If useVictim is

@@ -581,7 +581,9 @@ func (d *Dir) IngestTrace(r io.Reader) (digest string, size int64, dup bool, err
 // that fails the container's structural validation (truncated data,
 // inconsistent chunk index — possible only if the atomic-write contract
 // was subverted, e.g. by external tampering) is removed and reported as
-// a miss, so the stream is re-materialized and the entry repaired.
+// a miss, so the stream is re-materialized and the entry repaired. An
+// absent store is a plain miss, and any other open failure is a miss
+// counted against the breaker.
 func (d *Dir) OpenTrace(digest string) (*trace.Materialized, bool) {
 	if d == nil {
 		d.traceMissInc()
@@ -594,10 +596,19 @@ func (d *Dir) OpenTrace(digest string) (*trace.Materialized, bool) {
 	path := d.tracePath(digest)
 	m, err := trace.OpenStore(path)
 	if err != nil {
-		if fi, statErr := d.fsys.Stat(path); statErr == nil {
+		switch {
+		case errors.Is(err, trace.ErrBadTrace):
 			// The file exists but does not parse: poisoned, not absent.
-			d.bad.Add(1)
-			d.removeBad(path, fi.Size())
+			if fi, statErr := d.fsys.Stat(path); statErr == nil {
+				d.bad.Add(1)
+				d.removeBad(path, fi.Size())
+			}
+		case errors.Is(err, fs.ErrNotExist):
+			// Absent, or evicted since the caller learned the digest. A
+			// concurrent re-ingest may already have put a fresh, valid
+			// copy back; that is no reason to delete it.
+		default:
+			d.ioFailure(err)
 		}
 		d.traceMisses.Add(1)
 		return nil, false
@@ -654,10 +665,11 @@ type entryFile struct {
 	atime time.Time
 }
 
-// listEntries walks both tiers and returns every entry file. Unreadable
-// subtrees are skipped (eviction is best-effort) but counted, so an
-// operator can see a walk that silently covers less than the whole
-// store.
+// listEntries walks both tiers and returns every entry file. Staging
+// files (a writer's temp file before its rename publishes it) are not
+// entries: evicting one would fail that write. Unreadable subtrees are
+// skipped (eviction is best-effort) but counted, so an operator can see
+// a walk that silently covers less than the whole store.
 func (d *Dir) listEntries() []entryFile {
 	var out []entryFile
 	for _, sub := range []string{resultsSub, tracesSub} {
@@ -668,7 +680,7 @@ func (d *Dir) listEntries() []entryFile {
 				}
 				return nil
 			}
-			if de.IsDir() {
+			if de.IsDir() || !isEntryName(de.Name()) {
 				return nil
 			}
 			fi, err := de.Info()
@@ -683,6 +695,14 @@ func (d *Dir) listEntries() []entryFile {
 		})
 	}
 	return out
+}
+
+// isEntryName reports whether name is a published entry file rather than
+// a staging file (atomicfile's "<entry>.tmp*", IngestTrace's
+// "ingest*.tmp").
+func isEntryName(name string) bool {
+	ext := filepath.Ext(name)
+	return ext == ".ltre" || ext == ".ltcx"
 }
 
 // maybeEvict enforces the byte budget: when the directory exceeds

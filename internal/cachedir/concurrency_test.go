@@ -3,7 +3,9 @@ package cachedir
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -67,10 +69,17 @@ func TestIngestTraceRejectsGarbage(t *testing.T) {
 	if _, _, _, err := d.IngestTrace(strings.NewReader("this is not an LTCX store")); err == nil {
 		t.Fatal("garbage upload accepted")
 	}
-	// Nothing entered the tier, and no staging litter survived.
-	ents := d.listEntries()
-	if len(ents) != 0 {
-		t.Fatalf("rejected upload left %d files: %+v", len(ents), ents)
+	// Nothing entered the tier, and no staging litter survived (the
+	// eviction walk skips staging files, so look at the raw directory).
+	var left []string
+	filepath.WalkDir(d.Root(), func(path string, de fs.DirEntry, err error) error {
+		if err == nil && !de.IsDir() && de.Name() != "CACHEDIR.TAG" {
+			left = append(left, path)
+		}
+		return nil
+	})
+	if len(left) != 0 {
+		t.Fatalf("rejected upload left %d files: %v", len(left), left)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/history"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -347,9 +348,9 @@ func TestTargetL2Ablation(t *testing.T) {
 }
 
 func BenchmarkLTCordsPerRef(b *testing.B) {
-	src := workload.ArraySweep(workload.SweepConfig{
+	src := trace.NewPuller(workload.ArraySweep(workload.SweepConfig{
 		Base: 0x100000, Arrays: 1, Elems: 16384, Stride: 64, Iters: 1 << 20, PCBase: 0x10,
-	})
+	}))
 	pr := MustNew(sim.PaperL1D(), DefaultParams())
 	c := cache.MustNew(sim.PaperL1D())
 	b.ResetTimer()

@@ -77,7 +77,7 @@ func runAblations(o Options) (*Report, error) {
 			tasks = append(tasks, o.ltCoverageCell(s, p, params, sim.Config{}))
 		}
 	}
-	res, err := runner.AllCtx(o.ctx(), s, tasks)
+	res, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func (o Options) materialized(s *runner.Scheduler, p workload.Preset, seed uint6
 	if o.Cache != nil {
 		codec = traceCodec{dir: o.Cache}
 	}
-	v, err := s.DoCtx(o.ctx(), runner.Cell{
+	v, err := s.Do(o.ctx(), runner.Cell{
 		Key:   fmt.Sprintf("mat|%s|scale%d|seed%d", p.Name, o.Scale, seed),
 		Codec: codec,
 		Run: func() (any, error) {
@@ -389,7 +389,7 @@ func (o Options) consolCoverageCell(s *runner.Scheduler, progs []workload.Consol
 			for i, p := range progs {
 				tasks[i] = o.shardCoverageCell(s, p.Preset, i, params, sim.Config{})
 			}
-			covs, err := runner.AllNested(s, tasks, o.workers())
+			covs, err := runner.AllNested(o.ctx(), s, tasks, o.workers())
 			if err != nil {
 				return sim.ShardedCoverage{}, err
 			}

@@ -68,7 +68,7 @@ func runConsol(o Options) (*Report, error) {
 			o.consolCoverageCell(s, progs, false, core.DefaultParams()),
 			o.consolCoverageCell(s, progs, true, core.DefaultParams()))
 	}
-	soloRes, mixRes, err := runner.All2Ctx(o.ctx(), s, soloTasks, mixTasks)
+	soloRes, mixRes, err := runner.All2(o.ctx(), s, soloTasks, mixTasks)
 	if err != nil {
 		return nil, err
 	}

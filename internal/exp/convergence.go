@@ -28,7 +28,7 @@ func runConvergence(o Options) (*Report, error) {
 	for i, p := range ps {
 		tasks[i] = o.decileCell(s, p, core.DefaultParams())
 	}
-	res, err := runner.AllCtx(o.ctx(), s, tasks)
+	res, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ import (
 // Options parameterize an experiment run.
 type Options struct {
 	// Context, when non-nil, cancels the run: queued-but-unstarted
-	// simulation cells abort promptly (runner.AllCtx semantics — cells
+	// simulation cells abort promptly (runner.All semantics — cells
 	// already executing finish and stay cached) and Run returns the
 	// context's error. Nil means context.Background(). The daemon threads
 	// each job's context here so a cancelled job releases the shared
@@ -239,6 +239,6 @@ func timingParams(p workload.Preset) cpu.Params {
 	return cp
 }
 
-// geoMeanSpeedups folds per-benchmark percent improvements into the
+// meanSpeedup folds per-benchmark percent improvements into the
 // paper's mean (Table 3 reports arithmetic means of percent improvements).
 func meanSpeedup(vals []float64) float64 { return stats.Mean(vals) }

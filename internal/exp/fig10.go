@@ -38,7 +38,7 @@ func runFig10(o Options) (*Report, error) {
 			tasks = append(tasks, o.ltCoverageCell(s, p, params, sim.Config{}))
 		}
 	}
-	res, err := runner.AllCtx(o.ctx(), s, tasks)
+	res, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func runFig11(o Options) (*Report, error) {
 				o.mixedCoverageCell(s, subject, partner, quantum(subject), quantum(partner), core.DefaultParams()))
 		}
 	}
-	soloRes, mixRes, err := runner.All2Ctx(o.ctx(), s, soloTasks, mixTasks)
+	soloRes, mixRes, err := runner.All2(o.ctx(), s, soloTasks, mixTasks)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func runFig12(o Options) (*Report, error) {
 		tasks[i] = o.timingCell(s, p, ltPF(core.DefaultParams()),
 			timingParams(p), cache.Config{}, cache.Config{})
 	}
-	runs, err := runner.AllCtx(o.ctx(), s, tasks)
+	runs, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func runFig2(o Options) (*Report, error) {
 	for i, p := range ps {
 		tasks[i] = o.baselineTimingCell(s, p)
 	}
-	runs, err := runner.AllCtx(o.ctx(), s, tasks)
+	runs, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func runFig4(o Options) (*Report, error) {
 			tasks = append(tasks, o.dbcpCoverageCell(s, p, pp, sim.Config{}))
 		}
 	}
-	covs, err := runner.AllCtx(o.ctx(), s, tasks)
+	covs, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

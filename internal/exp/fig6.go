@@ -26,7 +26,7 @@ func analyzeAll(o Options) (map[string]corr.Result, []string, error) {
 	for i, p := range ps {
 		tasks[i] = o.corrCell(s, p, corr.Config{})
 	}
-	res, err := runner.AllCtx(o.ctx(), s, tasks)
+	res, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, nil, err
 	}

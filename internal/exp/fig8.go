@@ -32,7 +32,7 @@ func runFig8(o Options) (*Report, error) {
 		ltTasks[i] = o.ltCoverageCell(s, p, core.DefaultParams(), sim.Config{})
 		orTasks[i] = o.dbcpCoverageCell(s, p, dbcp.UnlimitedParams(), sim.Config{})
 	}
-	ltRes, orRes, err := runner.All2Ctx(o.ctx(), s, ltTasks, orTasks)
+	ltRes, orRes, err := runner.All2(o.ctx(), s, ltTasks, orTasks)
 	if err != nil {
 		return nil, err
 	}

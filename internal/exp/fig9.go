@@ -50,7 +50,7 @@ func runFig9(o Options) (*Report, error) {
 			tasks = append(tasks, o.ltCoverageCell(s, p, fig9Params(n), sim.Config{}))
 		}
 	}
-	res, err := runner.AllCtx(o.ctx(), s, tasks)
+	res, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

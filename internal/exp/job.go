@@ -106,7 +106,7 @@ type JobResult struct {
 // experiment-dispatch loop cmd/ltexp and the daemon share. The spec is
 // normalized first (so RunJob accepts raw submissions too), every
 // experiment runs in order with ctx threaded into its cells
-// (cancellation aborts queued cells promptly, see runner.MapCtx), and
+// (cancellation aborts queued cells promptly, see runner.Map), and
 // the result carries the reports plus this job's scheduler/cache
 // counter deltas. The caller owns wiring sched to spec.Cache
 // (Scheduler.SetStore) — both cmd/ltexp and the daemon do it once at

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func TestErrorPropagatesFromCells(t *testing.T) {
 	bad := runner.Cell{Key: "bad-cell", Run: func() (any, error) {
 		return nil, errFake
 	}}
-	if _, err := s.Do(bad); err == nil || !strings.Contains(err.Error(), "bad-cell") {
+	if _, err := s.Do(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "bad-cell") {
 		t.Errorf("err = %v, want cell key in message", err)
 	}
 }

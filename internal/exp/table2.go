@@ -23,7 +23,7 @@ func runTable2(o Options) (*Report, error) {
 		missTasks[i] = o.missRateCell(s, p, sim.PaperL1D(), sim.PaperL2())
 		timingTasks[i] = o.baselineTimingCell(s, p)
 	}
-	misses, runs, err := runner.All2Ctx(o.ctx(), s, missTasks, timingTasks)
+	misses, runs, err := runner.All2(o.ctx(), s, missTasks, timingTasks)
 	if err != nil {
 		return nil, err
 	}

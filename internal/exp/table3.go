@@ -63,7 +63,7 @@ func runTable3(o Options) (*Report, error) {
 			tasks = append(tasks, o.timingCell(s, p, c.pf, params, cache.Config{}, l2cfg))
 		}
 	}
-	runs, err := runner.AllCtx(o.ctx(), s, tasks)
+	runs, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {
 		return nil, err
 	}

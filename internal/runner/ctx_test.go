@@ -14,19 +14,50 @@ func TestDoCtxCancelledBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var runs atomic.Int64
-	if _, err := s.DoCtx(ctx, countingCell("k", &runs, 1)); !errors.Is(err, context.Canceled) {
+	if _, err := s.Do(ctx, countingCell("k", &runs, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if runs.Load() != 0 {
 		t.Fatalf("cell ran %d times under a cancelled context", runs.Load())
 	}
 	// Cancellation must not poison the key: a live submission recomputes.
-	v, err := s.DoCtx(context.Background(), countingCell("k", &runs, 1))
+	v, err := s.Do(context.Background(), countingCell("k", &runs, 1))
 	if err != nil || v.(int) != 1 {
 		t.Fatalf("resubmission = %v, %v", v, err)
 	}
 	if runs.Load() != 1 {
 		t.Fatalf("runs = %d want 1", runs.Load())
+	}
+}
+
+// TestCancelledBodyIsNotMemoized pins that a cell whose body fails with
+// a context error — its job was cancelled while it ran, so its nested Do
+// on the job's context gave up — is un-published like a panic, not
+// memoized: a later submission of the key on a live context recomputes
+// instead of retrying the dead entry forever.
+func TestCancelledBodyIsNotMemoized(t *testing.T) {
+	s := New(2)
+	var runs atomic.Int64
+	outer := func(ctx context.Context, cancelMidBody func()) Cell {
+		return Cell{Key: "outer", Run: func() (any, error) {
+			cancelMidBody()
+			return s.Do(ctx, countingCell("inner", &runs, 7))
+		}}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := s.Do(ctx, outer(ctx, cancel)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	live := context.Background()
+	v, err := s.Do(live, outer(live, func() {}))
+	if err != nil || v.(int) != 7 {
+		t.Fatalf("resubmission = %v, %v", v, err)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("inner runs = %d want 1", runs.Load())
+	}
+	if st := s.Stats(); st.Executed != 3 {
+		t.Fatalf("Executed = %d want 3 (cancelled outer, then outer and inner)", st.Executed)
 	}
 }
 
@@ -52,21 +83,21 @@ func TestMapCtxCancelStopsQueuedCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.MapCtx(ctx, cells)
+		_, err := s.Map(ctx, cells)
 		done <- err
 	}()
 	<-started
 	cancel()
 	release <- struct{}{}
 	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapCtx err = %v, want context.Canceled", err)
+		t.Fatalf("Map err = %v, want context.Canceled", err)
 	}
 	// Only the in-flight cell may have executed.
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("%d cells ran after cancellation, want 1 (the in-flight one)", got)
 	}
 	// The completed cell is cached; the abandoned ones recompute cleanly.
-	vals, err := s.Map(cells[:8])
+	vals, err := s.Map(context.Background(), cells[:8])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +125,7 @@ func TestAcquireCancelledWhileQueued(t *testing.T) {
 	}}}
 	hogDone := make(chan error, 1)
 	go func() {
-		_, err := s.MapCtx(context.Background(), heavy)
+		_, err := s.Map(context.Background(), heavy)
 		hogDone <- err
 	}()
 	<-started
@@ -103,7 +134,7 @@ func TestAcquireCancelledWhileQueued(t *testing.T) {
 	queuedDone := make(chan error, 1)
 	var runs atomic.Int64
 	go func() {
-		_, err := s.MapCtx(ctx, []Cell{countingCell("q", &runs, 1)})
+		_, err := s.Map(ctx, []Cell{countingCell("q", &runs, 1)})
 		queuedDone <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let it reach the admission wait
@@ -140,7 +171,7 @@ func TestDoCtxWaiterCancelled(t *testing.T) {
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		if v, err := s.Do(cell); err != nil || v.(int) != 7 {
+		if v, err := s.Do(context.Background(), cell); err != nil || v.(int) != 7 {
 			t.Errorf("owner got %v, %v", v, err)
 		}
 	}()
@@ -148,7 +179,7 @@ func TestDoCtxWaiterCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := s.DoCtx(ctx, cell)
+		_, err := s.Do(ctx, cell)
 		waiterDone <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -164,7 +195,7 @@ func TestDoCtxWaiterCancelled(t *testing.T) {
 	release <- struct{}{}
 	<-ownerDone
 	// Result stayed cached.
-	if v, err := s.Do(cell); err != nil || v.(int) != 7 {
+	if v, err := s.Do(context.Background(), cell); err != nil || v.(int) != 7 {
 		t.Fatalf("cached value = %v, %v", v, err)
 	}
 	if st := s.Stats(); st.Executed != 1 {
@@ -180,7 +211,7 @@ func TestMapCtxCellErrorBeatsCancellation(t *testing.T) {
 		{Key: "bad", Run: func() (any, error) { cancel(); return nil, boom }},
 		{Key: "never", Run: func() (any, error) { return 1, nil }},
 	}
-	_, err := s.MapCtx(ctx, cells)
+	_, err := s.Map(ctx, cells)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the cell error to take precedence", err)
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -20,7 +21,7 @@ func TestPanicBecomesError(t *testing.T) {
 		}
 		return "recovered", nil
 	}}
-	_, err := s.Do(cell)
+	_, err := s.Do(context.Background(), cell)
 	if err == nil {
 		t.Fatal("panicking cell returned nil error")
 	}
@@ -40,7 +41,7 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 
 	// Never memoized: the retry executes and succeeds.
-	v, err := s.Do(cell)
+	v, err := s.Do(context.Background(), cell)
 	if err != nil || v != "recovered" {
 		t.Fatalf("retry = %v, %v; want recovered", v, err)
 	}
@@ -69,7 +70,7 @@ func TestPanicWithConcurrentWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Do(cell)
+			_, errs[i] = s.Do(context.Background(), cell)
 		}(i)
 	}
 	close(release)
@@ -81,7 +82,7 @@ func TestPanicWithConcurrentWaiters(t *testing.T) {
 		}
 	}
 	// The key was un-published: a fresh submission runs again.
-	v, err := s.Do(Cell{Key: "shared-boom", Run: func() (any, error) { return 7, nil }})
+	v, err := s.Do(context.Background(), Cell{Key: "shared-boom", Run: func() (any, error) { return 7, nil }})
 	if err != nil || v != 7 {
 		t.Fatalf("post-panic submission = %v, %v", v, err)
 	}
@@ -96,11 +97,11 @@ func TestPanicInMapFailsBatchOnly(t *testing.T) {
 		{Key: "map-boom", Run: func() (any, error) { panic("mid-batch") }},
 		{Key: "ok-2", Run: func() (any, error) { return 2, nil }},
 	}
-	if _, err := s.Map(cells); err == nil {
+	if _, err := s.Map(context.Background(), cells); err == nil {
 		t.Fatal("batch with panicking cell succeeded")
 	}
 	// Scheduler still serves new work.
-	v, err := s.Do(Cell{Key: "after", Run: func() (any, error) { return "alive", nil }})
+	v, err := s.Do(context.Background(), Cell{Key: "after", Run: func() (any, error) { return "alive", nil }})
 	if err != nil || v != "alive" {
 		t.Fatalf("scheduler dead after panic: %v, %v", v, err)
 	}
@@ -111,7 +112,7 @@ func TestPanicNeverPersisted(t *testing.T) {
 	s := New(1)
 	store := newMemStore()
 	s.SetStore(store)
-	_, err := s.Do(Cell{Key: "p", Codec: GobCodec{}, Run: func() (any, error) { panic("no persist") }})
+	_, err := s.Do(context.Background(), Cell{Key: "p", Codec: GobCodec{}, Run: func() (any, error) { panic("no persist") }})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v", err)

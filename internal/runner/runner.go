@@ -16,9 +16,10 @@
 // their own trace sources and predictors, and they may submit nested cells
 // through Do (nested cells execute inline in the calling worker, so no
 // worker is ever parked waiting for a free slot) or fan them out through
-// MapNested/AllNested. Cells that run intra-cell workers declare a Weight:
-// Map admits cells against a token budget of Parallelism, so cell-level
-// and intra-run parallelism share one CPU budget instead of
+// MapNested/AllNested, passing their job's context so a cancellation
+// reaches the nested cells too. Cells that run intra-cell workers declare
+// a Weight: Map admits cells against a token budget of Parallelism, so
+// cell-level and intra-run parallelism share one CPU budget instead of
 // oversubscribing. Cached results are shared between all consumers of a
 // key and must be treated as immutable.
 package runner
@@ -228,22 +229,20 @@ func (s *Scheduler) Stats() Stats {
 // execution), and a freshly computed value is encoded and persisted.
 // Errors are memoized in memory only — they are never written to disk,
 // so a transient failure doesn't poison later runs.
-func (s *Scheduler) Do(c Cell) (any, error) {
-	return s.DoCtx(context.Background(), c)
-}
-
-// DoCtx is Do with cancellation: a cell whose context is done before its
-// Run starts is abandoned with the context's error instead of simulated.
-// Cancellation never poisons the cache — an abandoned cell is
+//
+// A cell whose context is done before its Run starts is abandoned with
+// the context's error instead of simulated. Cancellation never poisons
+// the cache: an abandoned cell, like one whose body failed with a
+// context error (a nested Do on its cancelled job's context), is
 // un-published from the memo map, so a later submission of the same key
-// (from another job sharing the scheduler, or a retry) recomputes it —
-// and a waiter whose own context fires stops waiting immediately even
-// though the in-flight computation (owned by someone else) runs to
-// completion and stays cached. A cell already executing when its context
-// fires is not interrupted: cells are CPU-bound and run to completion;
-// promptness comes from the queued-but-unstarted cells, which are the
-// bulk of a batch.
-func (s *Scheduler) DoCtx(ctx context.Context, c Cell) (any, error) {
+// (from another job sharing the scheduler, or a retry) recomputes it.
+// A waiter whose own context fires stops waiting immediately even though
+// the in-flight computation (owned by someone else) runs to completion
+// and stays cached. A cell already executing when its context fires is
+// not interrupted: cells are CPU-bound and run to completion; promptness
+// comes from the queued-but-unstarted cells, which are the bulk of a
+// batch.
+func (s *Scheduler) Do(ctx context.Context, c Cell) (any, error) {
 	if c.Key == "" {
 		return nil, fmt.Errorf("runner: cell with empty key")
 	}
@@ -260,12 +259,11 @@ func (s *Scheduler) DoCtx(ctx context.Context, c Cell) (any, error) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if isCanceled(e.err) && ctx.Err() == nil {
-			// The owner abandoned the cell before running it (its job was
-			// cancelled; the entry is gone from the map). Our context is
-			// still live, so resubmit: we either find a fresh in-flight
-			// entry or become the new owner.
-			return s.DoCtx(ctx, c)
+		if isCanceled(e.err) && ctx.Err() == nil && s.unpublished(c.Key, e) {
+			// The owner's job was cancelled and the entry is gone from the
+			// map. Our context is still live, so resubmit: we either find a
+			// fresh in-flight entry or become the new owner.
+			return s.Do(ctx, c)
 		}
 		return e.val, e.err
 	}
@@ -276,9 +274,7 @@ func (s *Scheduler) DoCtx(ctx context.Context, c Cell) (any, error) {
 		// Cancelled between submission and start: un-publish so the key
 		// stays computable, and fail only the waiters (they recheck their
 		// own contexts above).
-		s.mu.Lock()
-		delete(s.cells, c.Key)
-		s.mu.Unlock()
+		s.unpublish(c.Key)
 		e.err = err
 		close(e.done)
 		return nil, err
@@ -294,13 +290,12 @@ func (s *Scheduler) DoCtx(ctx context.Context, c Cell) (any, error) {
 			e.err = &cellError{key: c.Key, err: e.err}
 		}
 		var pe *PanicError
-		if errors.As(e.err, &pe) {
-			// A panic is a bug, not a deterministic result: un-publish so it
-			// is never memoized. Current waiters see the error once; a later
-			// submission of the key recomputes.
-			s.mu.Lock()
-			delete(s.cells, c.Key)
-			s.mu.Unlock()
+		if errors.As(e.err, &pe) || isCanceled(e.err) {
+			// Neither a panic (a bug) nor a cancellation is a deterministic
+			// result: un-publish so it is never memoized. Current waiters
+			// see the error once (a live waiter retries a cancellation); a
+			// later submission of the key recomputes.
+			s.unpublish(c.Key)
 		}
 		if e.err == nil && s.persist(c, e.val) {
 			s.count(func(st *Stats) { st.Persisted++ })
@@ -308,6 +303,21 @@ func (s *Scheduler) DoCtx(ctx context.Context, c Cell) (any, error) {
 	}
 	close(e.done)
 	return e.val, e.err
+}
+
+// unpublish removes key's entry from the memo map.
+func (s *Scheduler) unpublish(key string) {
+	s.mu.Lock()
+	delete(s.cells, key)
+	s.mu.Unlock()
+}
+
+// unpublished reports whether e is no longer key's entry in the memo
+// map, so a waiter that retries cannot spin on an entry that stays.
+func (s *Scheduler) unpublished(key string, e *entry) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cells[key] != e
 }
 
 // PanicError carries a recovered cell panic: the panic value and the
@@ -389,15 +399,12 @@ func (s *Scheduler) persist(c Cell, v any) bool {
 // order among those that ran — aborts the batch: workers stop claiming
 // new cells and its error is returned. Cells already in flight run to
 // completion and stay cached.
-func (s *Scheduler) Map(cells []Cell) ([]any, error) {
-	return s.MapCtx(context.Background(), cells)
-}
-
-// MapCtx is Map with cancellation: when ctx fires, workers stop claiming
-// queued cells (and abandon admission waits) immediately; cells already
-// executing run to completion and stay cached. The batch then fails with
-// the context's error unless an earlier cell error takes precedence.
-func (s *Scheduler) MapCtx(ctx context.Context, cells []Cell) ([]any, error) {
+//
+// When ctx fires, workers stop claiming queued cells (and abandon
+// admission waits) immediately; cells already executing run to
+// completion and stay cached. The batch then fails with the context's
+// error unless an earlier cell error takes precedence.
+func (s *Scheduler) Map(ctx context.Context, cells []Cell) ([]any, error) {
 	return s.mapPool(ctx, cells, s.workers, true)
 }
 
@@ -406,9 +413,10 @@ func (s *Scheduler) MapCtx(ctx context.Context, cells []Cell) ([]any, error) {
 // Weight already reserved the CPU budget its nested workers consume.
 // Nested cells are still memoized through Do, so shards shared between
 // outer cells (consolidation mixes that are prefixes of each other)
-// execute once. Results return in submission order.
-func (s *Scheduler) MapNested(cells []Cell, n int) ([]any, error) {
-	return s.mapPool(context.Background(), cells, n, false)
+// execute once. Results return in submission order; ctx cancels as in
+// Map, and the calling cell passes its own job's context.
+func (s *Scheduler) MapNested(ctx context.Context, cells []Cell, n int) ([]any, error) {
+	return s.mapPool(ctx, cells, n, false)
 }
 
 // mapPool is the shared worker-pool body of Map and MapNested.
@@ -439,10 +447,10 @@ func (s *Scheduler) mapPool(ctx context.Context, cells []Cell, workers int, admi
 						errs[i] = err
 						return
 					}
-					out[i], errs[i] = s.DoCtx(ctx, cells[i])
+					out[i], errs[i] = s.Do(ctx, cells[i])
 					s.release(held)
 				} else {
-					out[i], errs[i] = s.DoCtx(ctx, cells[i])
+					out[i], errs[i] = s.Do(ctx, cells[i])
 				}
 				if errs[i] != nil {
 					failed.Store(true)
@@ -503,13 +511,8 @@ func assert[T any](tasks []Task[T], vals []any) ([]T, error) {
 
 // All executes typed tasks through the scheduler's Map and returns the
 // results in submission order.
-func All[T any](s *Scheduler, tasks []Task[T]) ([]T, error) {
-	return AllCtx(context.Background(), s, tasks)
-}
-
-// AllCtx is All with cancellation (see MapCtx).
-func AllCtx[T any](ctx context.Context, s *Scheduler, tasks []Task[T]) ([]T, error) {
-	vals, err := s.MapCtx(ctx, erase(tasks, make([]Cell, 0, len(tasks))))
+func All[T any](ctx context.Context, s *Scheduler, tasks []Task[T]) ([]T, error) {
+	vals, err := s.Map(ctx, erase(tasks, make([]Cell, 0, len(tasks))))
 	if err != nil {
 		return nil, err
 	}
@@ -519,8 +522,8 @@ func AllCtx[T any](ctx context.Context, s *Scheduler, tasks []Task[T]) ([]T, err
 // AllNested executes typed tasks on up to n goroutines inside a running
 // cell (see MapNested): no admission tokens are taken, the caller's
 // Weight covers them.
-func AllNested[T any](s *Scheduler, tasks []Task[T], n int) ([]T, error) {
-	vals, err := s.MapNested(erase(tasks, make([]Cell, 0, len(tasks))), n)
+func AllNested[T any](ctx context.Context, s *Scheduler, tasks []Task[T], n int) ([]T, error) {
+	vals, err := s.MapNested(ctx, erase(tasks, make([]Cell, 0, len(tasks))), n)
 	if err != nil {
 		return nil, err
 	}
@@ -530,14 +533,9 @@ func AllNested[T any](s *Scheduler, tasks []Task[T], n int) ([]T, error) {
 // All2 executes two independently typed task batches in a single
 // worker-pool pass — no barrier between the batches, so workers drain
 // both without idling on the slowest cell of the first.
-func All2[A, B any](s *Scheduler, as []Task[A], bs []Task[B]) ([]A, []B, error) {
-	return All2Ctx(context.Background(), s, as, bs)
-}
-
-// All2Ctx is All2 with cancellation (see MapCtx).
-func All2Ctx[A, B any](ctx context.Context, s *Scheduler, as []Task[A], bs []Task[B]) ([]A, []B, error) {
+func All2[A, B any](ctx context.Context, s *Scheduler, as []Task[A], bs []Task[B]) ([]A, []B, error) {
 	cells := erase(bs, erase(as, make([]Cell, 0, len(as)+len(bs))))
-	vals, err := s.MapCtx(ctx, cells)
+	vals, err := s.Map(ctx, cells)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -19,7 +20,7 @@ func TestDoMemoizes(t *testing.T) {
 	s := New(4)
 	var runs atomic.Int64
 	for i := 0; i < 5; i++ {
-		v, err := s.Do(countingCell("k", &runs, 42))
+		v, err := s.Do(context.Background(), countingCell("k", &runs, 42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestDoMemoizes(t *testing.T) {
 
 func TestDoEmptyKey(t *testing.T) {
 	s := New(1)
-	if _, err := s.Do(Cell{Run: func() (any, error) { return 1, nil }}); err == nil {
+	if _, err := s.Do(context.Background(), Cell{Run: func() (any, error) { return 1, nil }}); err == nil {
 		t.Error("empty key must error")
 	}
 }
@@ -54,7 +55,7 @@ func TestMapOrderedResults(t *testing.T) {
 		i := i
 		cells[i] = Cell{Key: fmt.Sprintf("c%d", i), Run: func() (any, error) { return i * i, nil }}
 	}
-	vals, err := s.Map(cells)
+	vals, err := s.Map(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +77,12 @@ func TestMapDeterministic(t *testing.T) {
 		}
 		return cells
 	}
-	want, err := New(1).Map(build())
+	want, err := New(1).Map(context.Background(), build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 8, 32} {
-		got, err := New(par).Map(build())
+		got, err := New(par).Map(context.Background(), build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestMapDedupesWithinBatch(t *testing.T) {
 	for i := range cells {
 		cells[i] = countingCell("same", &runs, 7)
 	}
-	vals, err := s.Map(cells)
+	vals, err := s.Map(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestErrorPropagation(t *testing.T) {
 		countingCell("b", &ran, 2),
 		countingCell("c", &ran, 3),
 	}
-	_, err := s.Map(cells)
+	_, err := s.Map(context.Background(), cells)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v want wrapped errBoom", err)
 	}
@@ -157,7 +158,7 @@ func TestErrorCached(t *testing.T) {
 		return nil, errBoom
 	}}
 	for i := 0; i < 3; i++ {
-		if _, err := s.Do(bad); !errors.Is(err, errBoom) {
+		if _, err := s.Do(context.Background(), bad); !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v", err)
 		}
 	}
@@ -173,14 +174,14 @@ func TestNestedDo(t *testing.T) {
 	var inner atomic.Int64
 	outer := func(key string) Cell {
 		return Cell{Key: key, Run: func() (any, error) {
-			v, err := s.Do(countingCell("shared-inner", &inner, 10))
+			v, err := s.Do(context.Background(), countingCell("shared-inner", &inner, 10))
 			if err != nil {
 				return nil, err
 			}
 			return v.(int) + 1, nil
 		}}
 	}
-	vals, err := s.Map([]Cell{outer("o1"), outer("o2"), outer("o3")})
+	vals, err := s.Map(context.Background(), []Cell{outer("o1"), outer("o2"), outer("o3")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +200,10 @@ func TestNestedDo(t *testing.T) {
 func TestNestedErrorSingleWrap(t *testing.T) {
 	s := New(1)
 	outer := Cell{Key: "outer", Run: func() (any, error) {
-		_, err := s.Do(Cell{Key: "inner", Run: func() (any, error) { return nil, errBoom }})
+		_, err := s.Do(context.Background(), Cell{Key: "inner", Run: func() (any, error) { return nil, errBoom }})
 		return nil, err
 	}}
-	_, err := s.Do(outer)
+	_, err := s.Do(context.Background(), outer)
 	if !errors.Is(err, errBoom) {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestAllTyped(t *testing.T) {
 			return fmt.Sprintf("v%d", i), nil
 		}}
 	}
-	vals, err := All(s, tasks)
+	vals, err := All(context.Background(), s, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +239,10 @@ func TestAllTyped(t *testing.T) {
 // not a panic.
 func TestAllTypeMismatch(t *testing.T) {
 	s := New(1)
-	if _, err := s.Do(Cell{Key: "k", Run: func() (any, error) { return 1, nil }}); err != nil {
+	if _, err := s.Do(context.Background(), Cell{Key: "k", Run: func() (any, error) { return 1, nil }}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := All(s, []Task[string]{{Key: "k", Run: func() (string, error) { return "", nil }}})
+	_, err := All(context.Background(), s, []Task[string]{{Key: "k", Run: func() (string, error) { return "", nil }}})
 	if err == nil {
 		t.Error("type mismatch must error")
 	}
@@ -271,7 +272,7 @@ func TestWeightedAdmission(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		cells = append(cells, weight(fmt.Sprintf("light%d", i), 1, 1))
 	}
-	if _, err := s.Map(cells); err != nil {
+	if _, err := s.Map(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := maxSeen.Load(); got > capacity {
@@ -287,7 +288,7 @@ func TestWeightClamped(t *testing.T) {
 		{Key: "w9", Weight: 9, Run: func() (any, error) { return 1, nil }},
 		{Key: "w0", Weight: -1, Run: func() (any, error) { return 2, nil }},
 	}
-	vals, err := s.Map(cells)
+	vals, err := s.Map(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestMapNested(t *testing.T) {
 				return i % 4, nil
 			}}
 		}
-		vals, err := AllNested(s, tasks, 4)
+		vals, err := AllNested(context.Background(), s, tasks, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +329,7 @@ func TestMapNested(t *testing.T) {
 		}
 		return sum, nil
 	}}
-	v, err := s.Do(outer)
+	v, err := s.Do(context.Background(), outer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestMapNested(t *testing.T) {
 // surfaces with the nested cell named.
 func TestMapNestedError(t *testing.T) {
 	s := New(1)
-	_, err := s.MapNested([]Cell{
+	_, err := s.MapNested(context.Background(), []Cell{
 		{Key: "ok", Run: func() (any, error) { return nil, nil }},
 		{Key: "nested-bad", Run: func() (any, error) { return nil, errBoom }},
 	}, 2)

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -47,7 +48,7 @@ func TestStoreWriteThroughAndRevive(t *testing.T) {
 	// Cold: executes, persists.
 	s1 := New(1)
 	s1.SetStore(store)
-	v, err := s1.Do(cell)
+	v, err := s1.Do(context.Background(), cell)
 	if err != nil || v.(int) != 42 {
 		t.Fatalf("cold Do = %v, %v", v, err)
 	}
@@ -60,7 +61,7 @@ func TestStoreWriteThroughAndRevive(t *testing.T) {
 	// the store without running the cell.
 	s2 := New(1)
 	s2.SetStore(store)
-	v, err = s2.Do(cell)
+	v, err = s2.Do(context.Background(), cell)
 	if err != nil || v.(int) != 42 {
 		t.Fatalf("warm Do = %v, %v", v, err)
 	}
@@ -77,7 +78,7 @@ func TestStoreWriteThroughAndRevive(t *testing.T) {
 
 	// Same scheduler again: the in-memory L1 answers, no second store Get.
 	gets := store.gets
-	if _, err := s2.Do(cell); err != nil {
+	if _, err := s2.Do(context.Background(), cell); err != nil {
 		t.Fatal(err)
 	}
 	if store.gets != gets {
@@ -91,7 +92,7 @@ func TestStoreDecodeFailureFallsBack(t *testing.T) {
 	s := New(1)
 	s.SetStore(store)
 	runs := 0
-	v, err := s.Do(Cell{Key: "cell", Codec: GobCodec{}, Run: func() (any, error) {
+	v, err := s.Do(context.Background(), Cell{Key: "cell", Codec: GobCodec{}, Run: func() (any, error) {
 		runs++
 		return "recomputed", nil
 	}})
@@ -105,7 +106,7 @@ func TestStoreDecodeFailureFallsBack(t *testing.T) {
 	// The repair overwrote the poison: a fresh scheduler now revives.
 	s2 := New(1)
 	s2.SetStore(store)
-	v, err = s2.Do(Cell{Key: "cell", Codec: GobCodec{}, Run: func() (any, error) {
+	v, err = s2.Do(context.Background(), Cell{Key: "cell", Codec: GobCodec{}, Run: func() (any, error) {
 		t.Fatal("ran despite repaired entry")
 		return nil, nil
 	}})
@@ -119,7 +120,7 @@ func TestStoreErrorsNotPersisted(t *testing.T) {
 	s := New(1)
 	s.SetStore(store)
 	boom := errors.New("boom")
-	_, err := s.Do(Cell{Key: "cell", Codec: GobCodec{}, Run: func() (any, error) { return nil, boom }})
+	_, err := s.Do(context.Background(), Cell{Key: "cell", Codec: GobCodec{}, Run: func() (any, error) { return nil, boom }})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -135,7 +136,7 @@ func TestNilCodecSkipsStore(t *testing.T) {
 	store := newMemStore()
 	s := New(1)
 	s.SetStore(store)
-	if _, err := s.Do(Cell{Key: "cell", Run: func() (any, error) { return 1, nil }}); err != nil {
+	if _, err := s.Do(context.Background(), Cell{Key: "cell", Run: func() (any, error) { return 1, nil }}); err != nil {
 		t.Fatal(err)
 	}
 	if store.gets != 0 || store.puts != 0 {
@@ -154,7 +155,7 @@ func TestStoreConcurrentDo(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				key := string(rune('a' + i%5))
-				v, err := s.Do(Cell{Key: key, Codec: GobCodec{}, Run: func() (any, error) { return key, nil }})
+				v, err := s.Do(context.Background(), Cell{Key: key, Codec: GobCodec{}, Run: func() (any, error) { return key, nil }})
 				if err != nil || v.(string) != key {
 					t.Errorf("Do(%s) = %v, %v", key, v, err)
 				}

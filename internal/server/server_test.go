@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -189,32 +190,42 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
-// TestCancelRunningJobStopsQueuedCells pins the issue's acceptance
-// contract end to end: DELETE /v1/jobs/{id} on a running job cancels
-// its context, which aborts the job's queued-but-unstarted scheduler
-// cells while the in-flight cell finishes and stays cached — and the
-// shared scheduler stays healthy for later jobs. Run under -race in CI.
+// TestCancelRunningJobStopsQueuedCells pins the cancellation contract
+// end to end: DELETE /v1/jobs/{id} on a running job cancels its context,
+// which aborts the job's queued-but-unstarted scheduler cells while the
+// in-flight cells finish — and the shared scheduler stays healthy for
+// later jobs. An in-flight cell that completes stays cached; one whose
+// body makes a nested submission on the cancelled job context fails with
+// that cancellation and must recompute on the next submission, as a
+// DELETE-then-resubmit does. Run under -race in CI.
 func TestCancelRunningJobStopsQueuedCells(t *testing.T) {
-	sched := runner.New(1) // one worker: cell 0 in flight, the rest queued
-	started := make(chan struct{})
+	sched := runner.New(2) // two workers: cells 0 and 1 in flight, the rest queued
+	var started sync.WaitGroup
+	started.Add(2)
 	release := make(chan struct{})
 	var ran atomic.Int64
 	run := func(ctx context.Context, spec exp.JobSpec, s *runner.Scheduler) (*exp.JobResult, error) {
 		cells := make([]runner.Cell, 64)
 		cells[0] = runner.Cell{Key: "c0", Run: func() (any, error) {
-			close(started)
+			started.Done()
 			<-release
 			ran.Add(1)
 			return 0, nil
 		}}
-		for i := 1; i < len(cells); i++ {
+		cells[1] = runner.Cell{Key: "c1", Run: func() (any, error) {
+			started.Done()
+			<-release
+			ran.Add(1)
+			return s.Do(ctx, runner.Cell{Key: "c1-inner", Run: func() (any, error) { return 1, nil }})
+		}}
+		for i := 2; i < len(cells); i++ {
 			i := i
 			cells[i] = runner.Cell{Key: fmt.Sprintf("c%d", i), Run: func() (any, error) {
 				ran.Add(1)
 				return i, nil
 			}}
 		}
-		if _, err := s.MapCtx(ctx, cells); err != nil {
+		if _, err := s.Map(ctx, cells); err != nil {
 			return nil, err
 		}
 		return &exp.JobResult{Spec: spec}, nil
@@ -222,22 +233,23 @@ func TestCancelRunningJobStopsQueuedCells(t *testing.T) {
 	s := newTestServer(t, run, Config{Sched: sched})
 	var st JobStatus
 	doJSON(t, s.Handler(), "POST", "/v1/jobs", exp.JobSpec{Experiments: []string{"fig11"}}, &st)
-	<-started // cell 0 is executing, 63 cells are queued
+	started.Wait() // cells 0 and 1 are executing, 62 cells are queued
 	if rec := doJSON(t, s.Handler(), "DELETE", "/v1/jobs/"+st.ID, nil, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("cancel: %d", rec.Code)
 	}
-	release <- struct{}{}
+	close(release)
 	waitState(t, s, st.ID, JobCancelled)
-	if got := ran.Load(); got != 1 {
-		t.Fatalf("%d cells ran after DELETE, want 1 (the in-flight one)", got)
+	if got := ran.Load(); got != 2 {
+		t.Fatalf("%d cells ran after DELETE, want 2 (the in-flight ones)", got)
 	}
 	// The scheduler survives for the next job: the finished cell is
-	// cached, abandoned cells recompute cleanly.
-	vals, err := sched.Map([]runner.Cell{
+	// cached, the cancelled and abandoned cells recompute cleanly.
+	vals, err := sched.Map(context.Background(), []runner.Cell{
 		{Key: "c0", Run: func() (any, error) { t.Error("cached cell recomputed"); return 0, nil }},
 		{Key: "c1", Run: func() (any, error) { return 1, nil }},
+		{Key: "c2", Run: func() (any, error) { return 2, nil }},
 	})
-	if err != nil || vals[0].(int) != 0 || vals[1].(int) != 1 {
+	if err != nil || vals[0].(int) != 0 || vals[1].(int) != 1 || vals[2].(int) != 2 {
 		t.Fatalf("post-cancel scheduler: %v %v", vals, err)
 	}
 }

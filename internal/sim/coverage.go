@@ -40,17 +40,12 @@ type Config struct {
 	// over that context's references. Shared state requires the global
 	// stream order, so such runs stay serial regardless of Workers.
 	SharedState bool
-	// Workers bounds the goroutines a single Run or RunShards may use
-	// (0 or 1 = serial). Results are byte-identical at any worker count:
-	// every shard's references are processed in stream order by exactly
-	// one goroutine and the merge folds shards in context order.
+	// Workers bounds the goroutines a single Run may use (0 or 1 =
+	// serial). Results are byte-identical at any worker count: every
+	// shard's references are processed in stream order by exactly one
+	// goroutine and the merge folds shards in context order.
 	Workers int
 }
-
-// CoverageConfig is the pre-unification name for Config.
-//
-// Deprecated: use Config.
-type CoverageConfig = Config
 
 // applyDefaults resolves zero-valued cache configurations to the paper's.
 func (cfg *Config) applyDefaults() {
@@ -160,8 +155,8 @@ func (c Coverage) L2CoveragePct() float64 {
 // covShard is the private state of one coverage context: its own main and
 // shadow hierarchies, pending-prediction map, instruction clock and
 // classification counters. RunCoverage is a single shard consuming the
-// whole stream; RunCoverageSharded routes each reference to its context's
-// shard, so the two drivers classify by the exact same rules.
+// whole stream; Run routes each reference to its context's shard, so the
+// two drivers classify by the exact same rules.
 type covShard struct {
 	cfg              *Config
 	geo              mem.Geometry

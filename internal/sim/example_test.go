@@ -15,7 +15,7 @@ func Example() {
 		Base: 0x10000000, Arrays: 1, Elems: 16384, Stride: 64, Iters: 6, PCBase: 0x400,
 	})
 	lt := core.MustNew(sim.PaperL1D(), core.DefaultParams())
-	cov, err := sim.RunCoverage(src, lt, sim.CoverageConfig{})
+	cov, err := sim.RunCoverage(src, lt, sim.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -31,7 +31,7 @@ func ExampleRunCoverage_baseline() {
 	src := workload.ArraySweep(workload.SweepConfig{
 		Base: 0x10000000, Arrays: 1, Elems: 4096, Stride: 64, Iters: 2, PCBase: 0x400,
 	})
-	cov, err := sim.RunCoverage(src, sim.Null{}, sim.CoverageConfig{})
+	cov, err := sim.RunCoverage(src, sim.Null{}, sim.Config{})
 	if err != nil {
 		panic(err)
 	}

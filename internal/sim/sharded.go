@@ -11,30 +11,6 @@ import (
 // trace.Ref.Ctx tag space.
 const MaxShards = trace.MaxContexts
 
-// ShardedConfig is the pre-unification configuration of the sharded
-// engine; its fields moved into Config.
-//
-// Deprecated: use Config with Contexts (and SharedState) set.
-type ShardedConfig struct {
-	// CoverageConfig applies to every shard: each context gets its own
-	// main/shadow L1 pair (and L2 pair when WithL2) of this geometry.
-	CoverageConfig
-	// Contexts is the shard count (see Config.Contexts).
-	Contexts int
-	// SharedPredictor is Config.SharedState under its original name.
-	SharedPredictor bool
-}
-
-// config folds the legacy two-level layout into the unified Config. The
-// outer Contexts/SharedPredictor fields win over anything set on the
-// embedded CoverageConfig (legacy callers never set those inner fields).
-func (c ShardedConfig) config() Config {
-	cfg := c.CoverageConfig
-	cfg.Contexts = c.Contexts
-	cfg.SharedState = c.SharedPredictor
-	return cfg
-}
-
 // ShardedCoverage is the result of a sharded run: the merged whole-machine
 // view plus each context's full standalone result.
 type ShardedCoverage struct {
@@ -134,13 +110,6 @@ func Run(src trace.Source, newPF func(ctx int) Prefetcher, cfg Config) (ShardedC
 		finished[i] = sh.finish()
 	}
 	return MergeShards(finished), nil
-}
-
-// RunCoverageSharded is the pre-unification sharded entry point.
-//
-// Deprecated: use Run with a Config.
-func RunCoverageSharded(src trace.Source, newPF func(ctx int) Prefetcher, cfg ShardedConfig) (ShardedCoverage, error) {
-	return Run(src, newPF, cfg.config())
 }
 
 // demuxSerial pumps the stream on the calling goroutine. Quantum

@@ -45,20 +45,19 @@ func newLT(int) sim.Prefetcher { return core.MustNew(sim.PaperL1D(), core.Defaul
 
 // TestShardedEquivalence pins the sharded engine's semantics: with
 // partitioned predictor state, running the interleaved stream through
-// RunCoverageSharded must produce, per context, results identical to
-// filtering the stream by Ctx and running the monolithic RunCoverage on
-// each slice — private caches, clocks and predictors see exactly the same
+// Run must produce, per context, results identical to filtering the
+// stream by Ctx and running the monolithic RunCoverage on each slice — private caches, clocks and predictors see exactly the same
 // references either way.
 func TestShardedEquivalence(t *testing.T) {
 	refs := consolStream(t, 400_000)
 	const contexts = 4
 
 	var preds []*core.Predictor
-	sc, err := sim.RunCoverageSharded(trace.NewSliceSource(refs), func(int) sim.Prefetcher {
+	sc, err := sim.Run(trace.NewSliceSource(refs), func(int) sim.Prefetcher {
 		p := core.MustNew(sim.PaperL1D(), core.DefaultParams())
 		preds = append(preds, p)
 		return p
-	}, sim.ShardedConfig{Contexts: contexts})
+	}, sim.Config{Contexts: contexts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestShardedEquivalence(t *testing.T) {
 	var sumOpp, sumCorrect, sumRefs uint64
 	for ctx := 0; ctx < contexts; ctx++ {
 		slice := filterCtx(refs, uint8(ctx))
-		mono, err := sim.RunCoverage(trace.NewSliceSource(slice), newLT(ctx), sim.CoverageConfig{})
+		mono, err := sim.RunCoverage(trace.NewSliceSource(slice), newLT(ctx), sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,8 +97,8 @@ func TestShardedEquivalence(t *testing.T) {
 // TestShardedWithL2 exercises the per-shard L2 pairs and their merge.
 func TestShardedWithL2(t *testing.T) {
 	refs := consolStream(t, 150_000)
-	sc, err := sim.RunCoverageSharded(trace.NewSliceSource(refs), newLT,
-		sim.ShardedConfig{CoverageConfig: sim.CoverageConfig{WithL2: true}, Contexts: 4})
+	sc, err := sim.Run(trace.NewSliceSource(refs), newLT,
+		sim.Config{WithL2: true, Contexts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +121,15 @@ func TestShardedWithL2(t *testing.T) {
 // independent).
 func TestSharedPredictorMode(t *testing.T) {
 	refs := consolStream(t, 200_000)
-	part, err := sim.RunCoverageSharded(trace.NewSliceSource(refs), newLT,
-		sim.ShardedConfig{Contexts: 4})
+	part, err := sim.Run(trace.NewSliceSource(refs), newLT,
+		sim.Config{Contexts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var calls int
-	shared, err := sim.RunCoverageSharded(trace.NewSliceSource(refs),
+	shared, err := sim.Run(trace.NewSliceSource(refs),
 		func(ctx int) sim.Prefetcher { calls++; return newLT(ctx) },
-		sim.ShardedConfig{Contexts: 4, SharedPredictor: true})
+		sim.Config{Contexts: 4, SharedState: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +207,11 @@ func TestSharedStateCoverageRecovers(t *testing.T) {
 	}
 }
 
-// TestShardedParallelEquivalence pins the tentpole guarantee: the
-// parallel demux (Run at Workers > 1) and the per-context-source path
-// (RunShards) both produce results byte-identical to the serial sharded
-// run — which TestShardedEquivalence in turn pins to the per-Ctx-filtered
-// monolithic runs — at any worker count. Runs under -race to catch
+// TestShardedParallelEquivalence pins the intra-run guarantee: the
+// parallel demux (Run at Workers > 1) and per-context RunCoverage runs
+// merged by MergeShards both produce results byte-identical to the
+// serial sharded run — which TestShardedEquivalence in turn pins to the
+// per-Ctx-filtered monolithic runs — at any worker count. Runs under -race to catch
 // sharing bugs between the pump, the shard workers and the merge.
 func TestShardedParallelEquivalence(t *testing.T) {
 	limit := uint64(400_000)
@@ -237,24 +236,19 @@ func TestShardedParallelEquivalence(t *testing.T) {
 		}
 	}
 
-	// Per-context sources: the Ctx-filtered subsequences are exactly what
-	// the demux routes to each shard, so RunShards over them must
-	// reproduce the same result — serially and in parallel.
-	srcs := make([]trace.Source, contexts)
-	for ctx := range srcs {
-		srcs[ctx] = trace.NewSliceSource(filterCtx(refs, uint8(ctx)))
-	}
-	for _, workers := range []int{1, 3} {
-		for ctx := range srcs {
-			srcs[ctx] = trace.NewSliceSource(filterCtx(refs, uint8(ctx)))
-		}
-		sharded, err := sim.RunShards(srcs, newLT, sim.Config{Workers: workers})
+	// Per-context runs merged: the Ctx-filtered subsequences are exactly
+	// what the demux routes to each shard, so standalone RunCoverage runs
+	// over them, folded by MergeShards, must reproduce the same result —
+	// the path exp takes for partitioned consolidation mixes.
+	shards := make([]sim.Coverage, contexts)
+	for ctx := range shards {
+		shards[ctx], err = sim.RunCoverage(trace.NewSliceSource(filterCtx(refs, uint8(ctx))), newLT(ctx), sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sharded, serial) {
-			t.Errorf("RunShards Workers=%d diverges from serial interleaved run", workers)
-		}
+	}
+	if merged := sim.MergeShards(shards); !reflect.DeepEqual(merged, serial) {
+		t.Error("per-context RunCoverage + MergeShards diverges from serial interleaved run")
 	}
 
 	// WithL2 exercises the per-shard L2 pairs under the parallel demux.
@@ -320,42 +314,20 @@ func TestShardedSparseContexts(t *testing.T) {
 	}
 }
 
-// TestRunShardsGuards: mistagged sources, shared state and context-count
-// mismatches fail loudly.
-func TestRunShardsGuards(t *testing.T) {
-	one := []trace.Ref{{Addr: 0x1000, Ctx: 0}}
-	if _, err := sim.RunShards([]trace.Source{trace.NewSliceSource(one)}, newLT,
-		sim.Config{SharedState: true}); err == nil {
-		t.Error("SharedState must be rejected (needs interleaved order)")
-	}
-	if _, err := sim.RunShards([]trace.Source{trace.NewSliceSource(one)}, newLT,
-		sim.Config{Contexts: 2}); err == nil {
-		t.Error("Contexts mismatching len(srcs) must be rejected")
-	}
-	if _, err := sim.RunShards(nil, newLT, sim.Config{}); err == nil {
-		t.Error("zero sources must be rejected")
-	}
-	// Source 1 yields a ctx-0 reference: mistagged.
-	bad := []trace.Source{trace.NewSliceSource(one), trace.NewSliceSource(one)}
-	if _, err := sim.RunShards(bad, newLT, sim.Config{}); err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Errorf("mistagged source: err = %v, want shard named", err)
-	}
-}
-
 // TestShardedCtxGuards: out-of-range context tags and shard counts fail
 // loudly instead of aliasing into the wrong shard.
 func TestShardedCtxGuards(t *testing.T) {
 	refs := []trace.Ref{{Addr: 0x1000, Ctx: 0}, {Addr: 0x2000, Ctx: 3}}
-	_, err := sim.RunCoverageSharded(trace.NewSliceSource(refs), newLT, sim.ShardedConfig{Contexts: 2})
+	_, err := sim.Run(trace.NewSliceSource(refs), newLT, sim.Config{Contexts: 2})
 	if err == nil || !strings.Contains(err.Error(), "context 3") {
 		t.Errorf("ctx 3 with 2 shards: err = %v, want context named", err)
 	}
 	for _, n := range []int{0, -1, sim.MaxShards + 1} {
-		if _, err := sim.RunCoverageSharded(trace.NewSliceSource(nil), newLT, sim.ShardedConfig{Contexts: n}); err == nil {
+		if _, err := sim.Run(trace.NewSliceSource(nil), newLT, sim.Config{Contexts: n}); err == nil {
 			t.Errorf("Contexts=%d must be rejected", n)
 		}
 	}
-	if _, err := sim.RunCoverageSharded(trace.NewSliceSource(nil), newLT, sim.ShardedConfig{Contexts: 8}); err != nil {
+	if _, err := sim.Run(trace.NewSliceSource(nil), newLT, sim.Config{Contexts: 8}); err != nil {
 		t.Errorf("empty stream must succeed: %v", err)
 	}
 }

@@ -14,7 +14,7 @@ func TestNullPredictorBaseline(t *testing.T) {
 	src := workload.ArraySweep(workload.SweepConfig{
 		Base: 0x100000, Arrays: 1, Elems: 4096, Stride: 64, Iters: 3, PCBase: 0x10,
 	})
-	cov, err := RunCoverage(src, Null{}, CoverageConfig{})
+	cov, err := RunCoverage(src, Null{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func (n nextBlock) OnAccess(ref trace.Ref, hit bool, evicted *cache.EvictInfo, p
 }
 
 func TestOracleCoversSequentialStream(t *testing.T) {
-	cfg := CoverageConfig{}
+	cfg := Config{}
 	l1 := PaperL1D()
 	geo, _ := mem.NewGeometry(l1.BlockSize, l1.Sets())
 	src := workload.StreamOnce(workload.StreamConfig{
@@ -85,7 +85,7 @@ func TestWrongPredictorEarly(t *testing.T) {
 	src := workload.ArraySweep(workload.SweepConfig{
 		Base: 0x1000, Arrays: 1, Elems: 64, Stride: 64, Iters: 200, PCBase: 0x10,
 	})
-	cov, err := RunCoverage(src, wrongBlock{geo}, CoverageConfig{})
+	cov, err := RunCoverage(src, wrongBlock{geo}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestWrongPredictorIncorrect(t *testing.T) {
 	src := workload.ArraySweep(workload.SweepConfig{
 		Base: 0x100000, Arrays: 1, Elems: 16384, Stride: 64, Iters: 2, PCBase: 0x10,
 	})
-	cov, err := RunCoverage(src, wrongBlock{geo}, CoverageConfig{})
+	cov, err := RunCoverage(src, wrongBlock{geo}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCoverageWithL2(t *testing.T) {
 	src := workload.ArraySweep(workload.SweepConfig{
 		Base: 0x100000, Arrays: 1, Elems: 1 << 15, Stride: 64, Iters: 2, PCBase: 0x10,
 	})
-	cov, err := RunCoverage(src, Null{}, CoverageConfig{WithL2: true})
+	cov, err := RunCoverage(src, Null{}, Config{WithL2: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPerCtxSplit(t *testing.T) {
 		}), mem.Addr(ctx)*0x10000000, ctx)
 	}
 	src := trace.InterleaveQuanta(mk(0), mk(1), 500, 500, 0)
-	cov, err := RunCoverage(src, Null{}, CoverageConfig{})
+	cov, err := RunCoverage(src, Null{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestDeadTimeCollection(t *testing.T) {
 	src := workload.ArraySweep(workload.SweepConfig{
 		Base: 0x100000, Arrays: 1, Elems: 8192, Stride: 64, Iters: 2, PCBase: 0x10, Gap: workload.Gaps{Mean: 3},
 	})
-	_, err := RunCoverage(src, Null{}, CoverageConfig{DeadTimes: hist})
+	_, err := RunCoverage(src, Null{}, Config{DeadTimes: hist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDeadTimeCollection(t *testing.T) {
 // presence marker, so sub-word blocks (where bit 0 is a real address bit)
 // must be rejected at construction rather than silently misclassified.
 func TestCoverageRejectsSubWordBlocks(t *testing.T) {
-	cfg := CoverageConfig{L1: cache.Config{Name: "bit0", Size: 8, BlockSize: 1, Assoc: 2}}
+	cfg := Config{L1: cache.Config{Name: "bit0", Size: 8, BlockSize: 1, Assoc: 2}}
 	if _, err := RunCoverage(trace.NewSliceSource(nil), Null{}, cfg); err == nil {
 		t.Fatal("BlockSize 1 must be rejected (pending lane steals bit 0)")
 	}

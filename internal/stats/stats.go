@@ -1,15 +1,13 @@
 // Package stats provides the statistical plumbing used by the experiment
 // harness: power-of-two histograms for CDFs (the paper plots dead-times,
-// correlation distances and sequence lengths on log2 axes), scalar
-// aggregates, confidence intervals, and a SMARTS-style systematic sampler.
+// correlation distances and sequence lengths on log2 axes) and the scalar
+// aggregates the reports print (means and percent speedups).
 package stats
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
-	"sort"
 )
 
 // Log2Histogram counts observations in power-of-two buckets:
@@ -154,96 +152,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values are skipped.
-func GeoMean(xs []float64) float64 {
-	s, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
-// HarmonicMean returns the harmonic mean of xs (positive values only).
-func HarmonicMean(xs []float64) float64 {
-	s, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			s += 1 / x
-			n++
-		}
-	}
-	if n == 0 || s == 0 {
-		return 0
-	}
-	return float64(n) / s
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics. It copies and sorts xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	if p <= 0 {
-		return ys[0]
-	}
-	if p >= 100 {
-		return ys[len(ys)-1]
-	}
-	rank := p / 100 * float64(len(ys)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return ys[lo]
-	}
-	frac := rank - float64(lo)
-	return ys[lo]*(1-frac) + ys[hi]*frac
-}
-
-// ConfidenceInterval95 returns the half-width of the 95% confidence interval
-// of the mean of xs under a normal approximation (1.96 * stderr). The paper
-// sizes its SMARTS samples to a 95% CI of +-3% on performance change.
-func ConfidenceInterval95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.Inf(1)
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(n))
-}
-
-// Ratio returns a/b, or 0 when b is 0. It keeps table-generation code free
-// of division-by-zero special cases.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // PercentChange returns the percent improvement of measured over baseline,

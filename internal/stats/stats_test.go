@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -84,84 +83,8 @@ func TestMeans(t *testing.T) {
 	if !almost(Mean(xs), 7.0/3) {
 		t.Errorf("Mean = %v", Mean(xs))
 	}
-	if !almost(GeoMean(xs), 2) {
-		t.Errorf("GeoMean = %v want 2", GeoMean(xs))
-	}
-	if !almost(HarmonicMean(xs), 3/(1+0.5+0.25)) {
-		t.Errorf("HarmonicMean = %v", HarmonicMean(xs))
-	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 || HarmonicMean(nil) != 0 {
-		t.Error("empty-slice means must be 0")
-	}
-}
-
-func TestGeoMeanSkipsNonPositive(t *testing.T) {
-	if !almost(GeoMean([]float64{-5, 0, 2, 8}), 4) {
-		t.Errorf("GeoMean = %v want 4", GeoMean([]float64{-5, 0, 2, 8}))
-	}
-}
-
-func TestStdDevAndCI(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample stddev of this classic set is sqrt(32/7).
-	if !almost(StdDev(xs), math.Sqrt(32.0/7)) {
-		t.Errorf("StdDev = %v", StdDev(xs))
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("StdDev of single sample must be 0")
-	}
-	if !math.IsInf(ConfidenceInterval95([]float64{1}), 1) {
-		t.Error("CI of single sample must be +Inf")
-	}
-	ci := ConfidenceInterval95(xs)
-	want := 1.96 * math.Sqrt(32.0/7) / math.Sqrt(8)
-	if !almost(ci, want) {
-		t.Errorf("CI = %v want %v", ci, want)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	if !almost(Percentile(xs, 0), 15) || !almost(Percentile(xs, 100), 50) {
-		t.Error("extremes wrong")
-	}
-	if !almost(Percentile(xs, 50), 35) {
-		t.Errorf("P50 = %v", Percentile(xs, 50))
-	}
-	if !almost(Percentile(xs, 25), 20) {
-		t.Errorf("P25 = %v", Percentile(xs, 25))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-}
-
-// Property: percentile is monotone in p and bounded by min/max.
-func TestPercentileMonotoneQuick(t *testing.T) {
-	f := func(raw []float64, pa, pb float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		pa = math.Mod(math.Abs(pa), 100)
-		pb = math.Mod(math.Abs(pb), 100)
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		va, vb := Percentile(xs, pa), Percentile(xs, pb)
-		lo, hi := Percentile(xs, 0), Percentile(xs, 100)
-		return va <= vb+1e-9 && va >= lo-1e-9 && vb <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	if Mean(nil) != 0 {
+		t.Error("empty-slice mean must be 0")
 	}
 }
 
@@ -177,52 +100,5 @@ func TestPercentChange(t *testing.T) {
 	}
 	if PercentChange(100, 0) != 0 {
 		t.Error("zero measured cycles must not divide by zero")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(1, 0) != 0 {
-		t.Error("Ratio(_, 0) must be 0")
-	}
-	if !almost(Ratio(3, 4), 0.75) {
-		t.Error("Ratio wrong")
-	}
-}
-
-func TestSamplerDisabled(t *testing.T) {
-	s := Sampler{}
-	for i := 0; i < 10; i++ {
-		if s.Next(1) != Measured {
-			t.Fatal("disabled sampler must always measure")
-		}
-	}
-}
-
-func TestSamplerSchedule(t *testing.T) {
-	// Period 10: skip 4, warm 3, measure 3.
-	s := Sampler{Period: 10, Warmup: 3, Measure: 3}
-	want := []Phase{Skip, Skip, Skip, Skip, Warming, Warming, Warming, Measured, Measured, Measured}
-	for rep := 0; rep < 3; rep++ {
-		for i, w := range want {
-			if got := s.Next(1); got != w {
-				t.Fatalf("rep %d instr %d phase = %v want %v", rep, i, got, w)
-			}
-		}
-	}
-	s.Reset()
-	if s.Next(1) != Skip {
-		t.Error("Reset did not rewind")
-	}
-}
-
-func TestSamplerCoarseSteps(t *testing.T) {
-	s := Sampler{Period: 100, Warmup: 10, Measure: 10}
-	// Stepping by 7 instructions still classifies by the step's start offset.
-	phases := map[Phase]int{}
-	for i := 0; i < 1000; i++ {
-		phases[s.Next(7)]++
-	}
-	if phases[Measured] == 0 || phases[Skip] == 0 || phases[Warming] == 0 {
-		t.Errorf("phase mix = %v; all phases should occur", phases)
 	}
 }

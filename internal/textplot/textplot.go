@@ -1,5 +1,5 @@
-// Package textplot renders experiment results as aligned text tables, CSV,
-// and ASCII bar charts — the output format of cmd/ltexp and EXPERIMENTS.md.
+// Package textplot renders experiment results as aligned text tables and
+// CSV — the output format of cmd/ltexp and EXPERIMENTS.md.
 package textplot
 
 import (
@@ -136,37 +136,3 @@ func I(x int) string { return fmt.Sprintf("%d", x) }
 
 // U formats an unsigned integer.
 func U(x uint64) string { return fmt.Sprintf("%d", x) }
-
-// Bars renders a horizontal ASCII bar chart: one row per label, bar length
-// proportional to value/maxValue over width characters.
-func Bars(w io.Writer, title string, labels []string, values []float64, width int) {
-	if width < 4 {
-		width = 40
-	}
-	maxv := 0.0
-	for _, v := range values {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	lw := 0
-	for _, l := range labels {
-		if len(l) > lw {
-			lw = len(l)
-		}
-	}
-	if title != "" {
-		fmt.Fprintln(w, title)
-	}
-	for i, l := range labels {
-		v := 0.0
-		if i < len(values) {
-			v = values[i]
-		}
-		n := 0
-		if maxv > 0 {
-			n = int(v / maxv * float64(width))
-		}
-		fmt.Fprintf(w, "%s |%s %.3g\n", pad(l, lw), strings.Repeat("#", n), v)
-	}
-}

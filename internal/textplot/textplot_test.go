@@ -62,20 +62,3 @@ func TestFormatters(t *testing.T) {
 		t.Error("basic formatters wrong")
 	}
 }
-
-func TestBars(t *testing.T) {
-	var sb strings.Builder
-	Bars(&sb, "title", []string{"aa", "b"}, []float64{1, 0.5}, 10)
-	out := sb.String()
-	if !strings.Contains(out, "title") {
-		t.Error("missing title")
-	}
-	if !strings.Contains(out, "##########") {
-		t.Errorf("max bar should reach full width: %q", out)
-	}
-	if !strings.Contains(out, "#####") {
-		t.Error("half bar missing")
-	}
-	// Zero values and zero max must not panic.
-	Bars(&sb, "", []string{"z"}, []float64{0}, 0)
-}

@@ -7,18 +7,6 @@ import (
 	"repro/internal/mem"
 )
 
-// drainNext reads src one reference at a time via the compatibility adapter.
-func drainNext(src Source) []Ref {
-	var out []Ref
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
 // drainBatch reads src through ReadRefs with the given batch size.
 func drainBatch(src Source, batch int) []Ref {
 	var out []Ref
@@ -35,11 +23,11 @@ func drainBatch(src Source, batch int) []Ref {
 func refsEqual(t *testing.T, name string, want, got []Ref) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: length mismatch: Next path %d refs, batch path %d refs", name, len(want), len(got))
+		t.Fatalf("%s: length mismatch: want %d refs, batch path %d refs", name, len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s: ref %d differs: Next path %+v, batch path %+v", name, i, want[i], got[i])
+			t.Fatalf("%s: ref %d differs: want %+v, batch path %+v", name, i, want[i], got[i])
 		}
 	}
 }
@@ -69,17 +57,15 @@ func testRefs(n int) []Ref {
 	return refs
 }
 
-// The batch read path and the legacy Next path must yield identical streams
-// for every combinator, at pathological batch sizes (1, prime, larger than
+// Every combinator must yield the same stream whatever the batch size:
+// one-element reads against pathological batch sizes (prime, larger than
 // the stream).
 func TestBatchNextEquivalence(t *testing.T) {
 	refs := testRefs(1000)
 	sources := map[string]func() Source{
 		"slice":  func() Source { return NewSliceSource(refs) },
 		"limit":  func() Source { return Limit(NewSliceSource(refs), 137) },
-		"concat": func() Source { return Concat(NewSliceSource(refs[:100]), NewSliceSource(refs[100:])) },
 		"offset": func() Source { return Offset(NewSliceSource(refs), 0x1000, 2) },
-		"tee":    func() Source { return Tee(NewSliceSource(refs), func(Ref) {}) },
 		"interleave": func() Source {
 			return InterleaveQuanta(NewSliceSource(refs[:500]), NewSliceSource(refs[500:]), 50, 30, 0)
 		},
@@ -90,32 +76,15 @@ func TestBatchNextEquivalence(t *testing.T) {
 		},
 	}
 	for name, mk := range sources {
-		want := drainNext(mk())
-		for _, batch := range []int{1, 7, 64, 2048} {
+		want := drainBatch(mk(), 1)
+		for _, batch := range []int{7, 64, 2048} {
 			refsEqual(t, name, want, drainBatch(mk(), batch))
 		}
-		// Mixing the two styles on one stream must also be consistent.
-		src := mk()
-		var mixed []Ref
-		buf := make([]Ref, 13)
-		for {
-			if r, ok := src.Next(); ok {
-				mixed = append(mixed, r)
-			} else {
-				break
-			}
-			n := src.ReadRefs(buf)
-			mixed = append(mixed, buf[:n]...)
-			if n == 0 {
-				break
-			}
-		}
-		refsEqual(t, name+"/mixed", want, mixed)
 	}
 }
 
-// The codec's batch decode must agree with its Next decode, and both must
-// round-trip the input exactly.
+// The codec's batch decode must round-trip the input exactly at any batch
+// size, one-element reads included.
 func TestCodecBatchEquivalence(t *testing.T) {
 	refs := testRefs(5000)
 	var buf bytes.Buffer
@@ -130,16 +99,6 @@ func TestCodecBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	encoded := buf.Bytes()
-
-	rNext, err := NewReader(bytes.NewReader(encoded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drainNext(rNext)
-	if rNext.Err() != nil {
-		t.Fatal(rNext.Err())
-	}
-	refsEqual(t, "codec/next", refs, got)
 
 	for _, batch := range []int{1, 17, 512} {
 		rBatch, err := NewReader(bytes.NewReader(encoded))
@@ -189,15 +148,15 @@ func TestCodecWideCtx(t *testing.T) {
 }
 
 // FuzzCodecRoundTrip feeds arbitrary bytes through two paths: (1) interpret
-// them as reference fields, encode, decode via both read styles, and demand
-// exact round-trip agreement; (2) interpret them as a raw trace stream and
+// them as reference fields, encode, decode, and demand exact round-trip
+// agreement; (2) interpret them as a raw trace stream and
 // demand the reader fails cleanly (error, not panic) on corruption.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19})
 	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x80}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Path 1: bytes -> refs -> encode -> decode (Next and batch).
+		// Path 1: bytes -> refs -> encode -> decode.
 		const stride = 20 // 8 pc + 8 addr + kind + gap + flags + ctx
 		var refs []Ref
 		for i := 0; i+stride <= len(data); i += stride {

@@ -140,16 +140,6 @@ func (r *Reader) ReadRefs(buf []Ref) int {
 	return len(buf)
 }
 
-// Next implements Source. After exhaustion or an error, Err distinguishes
-// clean EOF from a malformed stream.
-func (r *Reader) Next() (Ref, bool) {
-	var out Ref
-	if !r.readOne(&out) {
-		return Ref{}, false
-	}
-	return out, true
-}
-
 // readOne decodes one record into out, returning false at end of stream or
 // on a decoding error (recorded in r.err).
 func (r *Reader) readOne(out *Ref) bool {

@@ -382,15 +382,6 @@ func (c *Cursor) fail(err error, pos int) {
 	c.chunk = c.m.Chunks()
 }
 
-// Next implements Source via a one-element read.
-func (c *Cursor) Next() (Ref, bool) {
-	var one [1]Ref
-	if c.ReadRefs(one[:]) == 0 {
-		return Ref{}, false
-	}
-	return one[0], true
-}
-
 // ReplayStats recomputes the stream statistics by decoding the store,
 // fanning the chunk index out over workers goroutines (each replaying a
 // bounded range cursor from Cursors). Stats are an order-insensitive fold

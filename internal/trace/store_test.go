@@ -43,7 +43,7 @@ func randRefs(seed int64, n int) []Ref {
 }
 
 // replayAll drains a cursor through mixed batch sizes (including
-// one-element Next reads) to shake out boundary handling.
+// one-element reads) to shake out boundary handling.
 func replayAll(t *testing.T, c *Cursor) []Ref {
 	t.Helper()
 	var out []Ref

@@ -10,13 +10,12 @@
 // chasing), which together determine how much memory-level parallelism the
 // out-of-order core can extract.
 //
-// References flow in batches: ReadRefs is the primary Source contract
+// References flow in batches: ReadRefs is the Source contract
 // (io.Reader-style, producing into a caller-owned buffer), and every
 // generator and combinator in this repository produces directly into the
 // consumer's buffer so that steady-state streaming performs no per-reference
-// heap allocation. Next remains available on every Source as a
-// one-reference-at-a-time compatibility adapter. See DESIGN.md §"Reference
-// pipeline" for the buffer-ownership rules.
+// heap allocation. See DESIGN.md §"Reference pipeline" for the
+// buffer-ownership rules.
 package trace
 
 import "repro/internal/mem"
@@ -74,19 +73,15 @@ const DefaultBatch = 512
 
 // Source produces a stream of references.
 //
-// ReadRefs is the primary contract: it fills buf with up to len(buf)
-// references and returns how many it produced. A return of 0 (for a
-// non-empty buf) means the stream is exhausted; short reads may occur at
-// any time, so consumers must loop until 0. The buffer belongs to the
-// caller: a Source must not retain buf (or sub-slices of it) after
-// ReadRefs returns, and the caller is free to reuse it for the next call.
-//
-// Next is the legacy one-reference adapter, equivalent to a ReadRefs of a
-// one-element buffer. Sources are single-use unless documented otherwise,
-// and the two read styles may be mixed freely on one stream.
+// ReadRefs fills buf with up to len(buf) references and returns how many
+// it produced. A return of 0 (for a non-empty buf) means the stream is
+// exhausted; short reads may occur at any time, so consumers must loop
+// until 0. The buffer belongs to the caller: a Source must not retain buf
+// (or sub-slices of it) after ReadRefs returns, and the caller is free to
+// reuse it for the next call. Sources are single-use unless documented
+// otherwise.
 type Source interface {
 	ReadRefs(buf []Ref) int
-	Next() (Ref, bool)
 }
 
 // SliceSource replays a fixed slice of references.
@@ -107,16 +102,6 @@ func (s *SliceSource) ReadRefs(buf []Ref) int {
 	return n
 }
 
-// Next implements Source.
-func (s *SliceSource) Next() (Ref, bool) {
-	if s.pos >= len(s.refs) {
-		return Ref{}, false
-	}
-	r := s.refs[s.pos]
-	s.pos++
-	return r, true
-}
-
 // Reset rewinds the source to the beginning so it can be replayed.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
@@ -128,80 +113,19 @@ type FillFunc func(buf []Ref) int
 // ReadRefs implements Source.
 func (f FillFunc) ReadRefs(buf []Ref) int { return f(buf) }
 
-// Next implements Source via a one-element read.
-func (f FillFunc) Next() (Ref, bool) {
-	var one [1]Ref
-	if f(one[:]) == 0 {
-		return Ref{}, false
-	}
-	return one[0], true
-}
-
-// FuncSource adapts a one-reference-at-a-time function to the Source
-// interface (the legacy adapter; prefer FillFunc for new sources).
-type FuncSource func() (Ref, bool)
-
-// Next implements Source.
-func (f FuncSource) Next() (Ref, bool) { return f() }
-
-// ReadRefs implements Source by looping the function into buf.
-func (f FuncSource) ReadRefs(buf []Ref) int {
-	for i := range buf {
-		r, ok := f()
-		if !ok {
-			return i
-		}
-		buf[i] = r
-	}
-	return len(buf)
-}
-
 // Puller adapts a batch Source for one-reference-at-a-time consumption with
 // amortized batch reads: interleaving combinators that must make a per-ref
-// decision (InterleaveQuanta, workload.Mix) pull through one of these so the
-// underlying source still produces full batches.
-//
-// A Puller recognizes Tee sources and takes over their observation duty:
-// it reads batches from the tee's underlying source and invokes the
-// observer per reference as Next delivers it, so a consumer that stops
-// early (an interleaver hitting maxSwitches) never observes references
-// that stayed buffered. See Tee.
+// decision (InterleaveQuantaN, workload.Mix) pull through one of these so
+// the underlying source still produces full batches.
 type Puller struct {
-	src     Source
-	observe func(Ref) // non-nil when an unwrapped Tee's fn moved here
-	buf     []Ref
-	pos, n  int
+	src    Source
+	buf    []Ref
+	pos, n int
 }
 
-// NewPuller wraps src; batch <= 0 selects DefaultBatch.
-func NewPuller(src Source, batch int) *Puller {
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	p := &Puller{src: src, buf: make([]Ref, batch)}
-	// Unwrap any stack of tees, composing their observers in the same
-	// innermost-first order the tees themselves would fire in.
-	var fns []func(Ref)
-	for {
-		t, ok := p.src.(*teeSource)
-		if !ok {
-			break
-		}
-		fns = append(fns, t.fn)
-		p.src = t.src
-	}
-	switch len(fns) {
-	case 0:
-	case 1:
-		p.observe = fns[0]
-	default:
-		p.observe = func(r Ref) {
-			for i := len(fns) - 1; i >= 0; i-- {
-				fns[i](r)
-			}
-		}
-	}
-	return p
+// NewPuller wraps src, reading it DefaultBatch references at a time.
+func NewPuller(src Source) *Puller {
+	return &Puller{src: src, buf: make([]Ref, DefaultBatch)}
 }
 
 // Next returns the next reference, refilling the internal batch as needed.
@@ -215,9 +139,6 @@ func (p *Puller) Next() (Ref, bool) {
 	}
 	r := p.buf[p.pos]
 	p.pos++
-	if p.observe != nil {
-		p.observe(r)
-	}
 	return r, true
 }
 
@@ -234,20 +155,6 @@ func Limit(src Source, n uint64) Source {
 		got := src.ReadRefs(buf)
 		remaining -= uint64(got)
 		return got
-	})
-}
-
-// Concat yields all references of each source in turn.
-func Concat(srcs ...Source) Source {
-	i := 0
-	return FillFunc(func(buf []Ref) int {
-		for i < len(srcs) {
-			if n := srcs[i].ReadRefs(buf); n > 0 {
-				return n
-			}
-			i++
-		}
-		return 0
 	})
 }
 
@@ -349,7 +256,7 @@ func InterleaveQuantaN(srcs []Source, quanta []uint64, maxSwitches int) Source {
 	}
 	pullers := make([]*Puller, len(srcs))
 	for i, s := range srcs {
-		pullers[i] = NewPuller(s, 0)
+		pullers[i] = NewPuller(s)
 	}
 	exhausted := make([]bool, len(srcs))
 	live := len(srcs)
@@ -413,48 +320,6 @@ func InterleaveQuantaN(srcs []Source, quanta []uint64, maxSwitches int) Source {
 		}
 		return len(buf)
 	})
-}
-
-// Tee invokes fn for every reference delivered by the returned source.
-// It is useful for collecting side statistics without a second pass.
-// Observation happens on delivery: a direct batch read observes exactly
-// the references it returns, and a Puller wrapped around the tee (the
-// composition every interleaving combinator uses) takes over the
-// observer and fires it per reference as Next hands it downstream — so
-// when the downstream stream stops early (InterleaveQuanta hitting
-// maxSwitches), references the Puller read ahead but never delivered
-// are never observed, and side statistics match the emitted stream
-// exactly. Only an intermediate buffering layer other than Puller
-// (between the tee and the point of real consumption) can still observe
-// ahead of consumption.
-func Tee(src Source, fn func(Ref)) Source {
-	return &teeSource{src: src, fn: fn}
-}
-
-// teeSource is Tee's concrete type; NewPuller unwraps it to observe on
-// per-reference delivery instead of on batch production.
-type teeSource struct {
-	src Source
-	fn  func(Ref)
-}
-
-// ReadRefs implements Source; every reference in the returned batch is
-// delivered to the caller and observed.
-func (t *teeSource) ReadRefs(buf []Ref) int {
-	n := t.src.ReadRefs(buf)
-	for i := range buf[:n] {
-		t.fn(buf[i])
-	}
-	return n
-}
-
-// Next implements Source, observing the single delivered reference.
-func (t *teeSource) Next() (Ref, bool) {
-	r, ok := t.src.Next()
-	if ok {
-		t.fn(r)
-	}
-	return r, ok
 }
 
 // Stats summarises a reference stream.

@@ -21,7 +21,7 @@ func TestSliceSource(t *testing.T) {
 	if !reflect.DeepEqual(got, refs) {
 		t.Errorf("Collect = %v want %v", got, refs)
 	}
-	if _, ok := s.Next(); ok {
+	if n := s.ReadRefs(make([]Ref, 1)); n != 0 {
 		t.Error("source should be exhausted")
 	}
 	s.Reset()
@@ -44,20 +44,11 @@ func TestLimitBeyondLength(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := NewSliceSource([]Ref{ref(1, 1), ref(2, 2)})
-	b := NewSliceSource([]Ref{ref(3, 3)})
-	got := Collect(Concat(a, b), 0)
-	want := []Ref{ref(1, 1), ref(2, 2), ref(3, 3)}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Concat = %v want %v", got, want)
-	}
-}
-
 func TestOffset(t *testing.T) {
-	s := Offset(NewSliceSource([]Ref{ref(1, 100)}), 0x1000, 1)
-	r, ok := s.Next()
-	if !ok || r.Addr != 0x1064+0x9c-0x64 || r.Ctx != 1 {
+	var one [1]Ref
+	n := Offset(NewSliceSource([]Ref{ref(1, 100)}), 0x1000, 1).ReadRefs(one[:])
+	r := one[0]
+	if n != 1 || r.Addr != 0x1064+0x9c-0x64 || r.Ctx != 1 {
 		// 100 + 0x1000 = 0x1064
 		if r.Addr != mem.Addr(100+0x1000) {
 			t.Errorf("Offset ref = %+v", r)
@@ -133,63 +124,11 @@ func TestTeeAndStats(t *testing.T) {
 		{PC: 2, Addr: 3, Kind: Store, Gap: 0, Dep: true},
 	}
 	var st Stats
-	n := Count(Tee(NewSliceSource(refs), st.Observe))
-	if n != 2 {
-		t.Fatalf("Count = %d", n)
-	}
+	ForEach(NewSliceSource(refs), st.Observe)
 	// Instrs = (gap 3 + ref) + (gap 0 + ref) = 5.
 	want := Stats{Refs: 2, Loads: 1, Stores: 1, Instrs: 5, Deps: 1}
 	if st != want {
 		t.Errorf("Stats = %+v want %+v", st, want)
-	}
-}
-
-// TestTeeObservesOnDelivery pins the read-ahead fix: when an interleaved
-// stream stops early (maxSwitches), the tee's observer must have fired
-// exactly for the references the interleaver emitted — never for refs a
-// Puller read ahead into its batch buffer and then dropped.
-func TestTeeObservesOnDelivery(t *testing.T) {
-	mk := func(pc uint64) []Ref {
-		rs := make([]Ref, 2000)
-		for i := range rs {
-			rs[i] = ref(pc, uint64(i))
-		}
-		return rs
-	}
-	var observed []Ref
-	a := Tee(NewSliceSource(mk(1)), func(r Ref) { observed = append(observed, r) })
-	b := NewSliceSource(mk(2))
-	// Quanta of 5; stop after 4 switches — far fewer refs than the Puller's
-	// DefaultBatch read-ahead, so under production-time observation the tee
-	// would have seen 512 refs from a.
-	got := Collect(InterleaveQuanta(a, b, 5, 5, 4), 0)
-	var emittedFromA []Ref
-	for _, r := range got {
-		if r.PC == 1 {
-			emittedFromA = append(emittedFromA, r)
-		}
-	}
-	if len(emittedFromA) == 0 || len(emittedFromA) >= 2000 {
-		t.Fatalf("test stream shape off: %d refs emitted from a", len(emittedFromA))
-	}
-	if !reflect.DeepEqual(observed, emittedFromA) {
-		t.Errorf("tee observed %d refs, stream emitted %d from a: observation must match delivery exactly",
-			len(observed), len(emittedFromA))
-	}
-}
-
-// TestTeeStackedObservers: a Puller over nested tees preserves the
-// innermost-first observation order per delivered reference.
-func TestTeeStackedObservers(t *testing.T) {
-	var order []string
-	src := Tee(Tee(NewSliceSource([]Ref{ref(1, 1)}), func(Ref) { order = append(order, "inner") }),
-		func(Ref) { order = append(order, "outer") })
-	p := NewPuller(src, 4)
-	if _, ok := p.Next(); !ok {
-		t.Fatal("ref lost")
-	}
-	if !reflect.DeepEqual(order, []string{"inner", "outer"}) {
-		t.Errorf("observation order = %v", order)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Every generator was converted from one-ref closures to batch fills; this
-// test pins the two read styles to identical streams (same construction,
-// same RNG consumption order) across the generator zoo and Mix.
+// Every generator fills whole batches; this test pins one-element reads
+// and larger batches to identical streams (same construction, same RNG
+// consumption order) across the generator zoo and Mix.
 func TestGeneratorBatchNextEquivalence(t *testing.T) {
 	mks := map[string]func() trace.Source{
 		"sweep": func() trace.Source {
@@ -53,23 +53,28 @@ func TestGeneratorBatchNextEquivalence(t *testing.T) {
 			return Mix(32, Component{a, 2}, Component{b, 1})
 		},
 	}
-	for name, mk := range mks {
-		want := trace.Collect(mk(), 0) // batch path (Collect uses ReadRefs)
-		var got []trace.Ref
-		src := mk()
+	read := func(src trace.Source, batch int) []trace.Ref {
+		var out []trace.Ref
+		buf := make([]trace.Ref, batch)
 		for {
-			r, ok := src.Next()
-			if !ok {
-				break
+			n := src.ReadRefs(buf)
+			if n == 0 {
+				return out
 			}
-			got = append(got, r)
+			out = append(out, buf[:n]...)
 		}
-		if len(want) != len(got) {
-			t.Fatalf("%s: batch path %d refs, Next path %d refs", name, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s: ref %d differs: batch %+v, next %+v", name, i, want[i], got[i])
+	}
+	for name, mk := range mks {
+		want := read(mk(), 1)
+		for _, batch := range []int{7, trace.DefaultBatch} {
+			got := read(mk(), batch)
+			if len(want) != len(got) {
+				t.Fatalf("%s: one-element reads %d refs, batch %d reads %d refs", name, len(want), batch, len(got))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s: ref %d differs: one-element %+v, batch %d %+v", name, i, want[i], batch, got[i])
+				}
 			}
 		}
 	}

@@ -128,7 +128,7 @@ func TestRelocatePreservesPermutation(t *testing.T) {
 		Base: 0, Nodes: 512, NodeSize: 64, ShuffleLayout: true,
 		Iters: 6, PerturbFrac: 0.2, Seed: 11,
 	}
-	src := PointerChase(c)
+	src := trace.NewPuller(PointerChase(c))
 	for iter := 0; iter < 6; iter++ {
 		seen := map[mem.Addr]bool{}
 		for i := 0; i < 512; i++ {

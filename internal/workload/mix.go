@@ -34,7 +34,7 @@ func Mix(chunk int, comps ...Component) trace.Source {
 		if w < 1 {
 			w = 1
 		}
-		sts = append(sts, &state{src: trace.NewPuller(c.Src, 0), quota: w * chunk, left: w * chunk})
+		sts = append(sts, &state{src: trace.NewPuller(c.Src), quota: w * chunk, left: w * chunk})
 	}
 	if len(sts) == 0 {
 		return trace.FillFunc(func([]trace.Ref) int { return 0 })

@@ -494,13 +494,3 @@ func ByName(name string) (Preset, bool) {
 	}
 	return Preset{}, false
 }
-
-// Names returns all preset names in order.
-func Names() []string {
-	ps := Presets()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
-	}
-	return out
-}

@@ -9,7 +9,10 @@ import (
 )
 
 func TestAllPresetsPresent(t *testing.T) {
-	names := Names()
+	var names []string
+	for _, p := range Presets() {
+		names = append(names, p.Name)
+	}
 	if len(names) != 28 {
 		t.Fatalf("presets = %d want 28 (%v)", len(names), names)
 	}
@@ -78,7 +81,7 @@ func missProfile(t *testing.T, p Preset, scale Scale) (l1Rate, l2Rate float64) {
 	t.Helper()
 	l1 := cache.MustNew(cache.Config{Name: "L1D", Size: 64 * mem.KiB, BlockSize: 64, Assoc: 2})
 	l2 := cache.MustNew(cache.Config{Name: "L2", Size: mem.MiB, BlockSize: 64, Assoc: 8})
-	src := p.Source(scale, 1)
+	src := trace.NewPuller(p.Source(scale, 1))
 	var now uint64
 	for {
 		r, ok := src.Next()

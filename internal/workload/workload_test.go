@@ -131,7 +131,7 @@ func TestPerturbedSweepZeroPerturbIsPeriodic(t *testing.T) {
 
 func TestPerturbedSweepVisitsAllElements(t *testing.T) {
 	c := PerturbedSweepConfig{Base: 0, Elems: 64, Stride: 64, Iters: 4, PerturbFrac: 0.5, ShuffledStart: true, Seed: 5}
-	src := PerturbedSweep(c)
+	src := trace.NewPuller(PerturbedSweep(c))
 	for iter := 0; iter < 4; iter++ {
 		seen := map[mem.Addr]bool{}
 		for i := 0; i < 64; i++ {
@@ -149,7 +149,7 @@ func TestPerturbedSweepVisitsAllElements(t *testing.T) {
 
 func TestPointerChaseVisitsAllNodes(t *testing.T) {
 	c := ChaseConfig{Base: 0x100000, Nodes: 100, NodeSize: 64, ShuffleLayout: true, Iters: 2, Seed: 3}
-	src := PointerChase(c)
+	src := trace.NewPuller(PointerChase(c))
 	seen := map[mem.Addr]bool{}
 	var first []mem.Addr
 	for i := 0; i < 100; i++ {
@@ -210,7 +210,7 @@ func TestTreeWalkPreorderIsSequential(t *testing.T) {
 
 func TestTreeWalkHeapLayoutCoversAllNodes(t *testing.T) {
 	c := TreeConfig{Base: 0, Depth: 6, NodeSize: 64, Layout: LayoutHeap, Iters: 2}
-	src := TreeWalk(c)
+	src := trace.NewPuller(TreeWalk(c))
 	seen := map[mem.Addr]bool{}
 	for i := 0; i < 63; i++ {
 		r, _ := src.Next()
@@ -241,7 +241,7 @@ func TestTreeWalkShuffledDeterministic(t *testing.T) {
 func TestHashAccessBounds(t *testing.T) {
 	c := HashConfig{Base: 0x1000, Footprint: 4096, HotBytes: 256, HotFrac: 0.5, Refs: 5000, PCs: 4, Seed: 7}
 	hotCount := 0
-	src := HashAccess(c)
+	src := trace.NewPuller(HashAccess(c))
 	n := 0
 	for {
 		r, ok := src.Next()

@@ -43,27 +43,30 @@ bench-check:
 	$(GO) run ./cmd/benchdiff -old BENCH_core.json -new BENCH_new.json -max-regress 10
 	@rm -f BENCH_new.json
 
-# Persistent-cache gate (CI runs this alongside bench-check): every
-# experiment twice against a fresh cache dir — the warm pass must execute
-# zero simulations and render byte-identical reports (cmd/warmcheck).
+# The three behaviour gates (CI runs them in their own job), one harness:
+# cmd/gatecheck <gate>.
+#
+# Persistent-cache gate: every experiment twice against a fresh cache
+# dir — the warm pass must execute zero simulations and render
+# byte-identical reports (DESIGN.md §12).
 warm-check:
-	$(GO) run ./cmd/warmcheck
+	$(GO) run ./cmd/gatecheck warm
 
-# Daemon gate (CI runs this alongside warm-check): end-to-end smoke over
-# the real ltexpd binary — upload a trace, run a job, diff the /report
-# bytes against a local ltexp run, and prove a resubmission executes
-# zero simulations on the shared scheduler (cmd/servecheck, DESIGN.md §14).
+# Daemon gate: end-to-end smoke over the real ltexpd binary — upload a
+# trace, run a job, diff the /report bytes against a local ltexp run, and
+# prove a resubmission executes zero simulations on the shared scheduler
+# (DESIGN.md §14).
 serve-check:
-	$(GO) run ./cmd/servecheck
+	$(GO) run ./cmd/gatecheck serve
 
-# Fault-injection gate (CI runs this alongside warm-check/serve-check):
-# experiment runs under scripted disk-fault schedules (ENOSPC, EIO, torn
-# writes, rename/fsync failures, dead disk) must stay byte-identical to
-# a no-cache reference, a kill -9 mid-write must leave a self-repairing
-# store, and an in-process daemon must serve jobs (degraded, then
-# recovered) over a fully dead cache dir (cmd/faultcheck, DESIGN.md §15).
+# Fault-injection gate: experiment runs under scripted disk-fault
+# schedules (ENOSPC, EIO, torn writes, rename/fsync failures, dead disk)
+# must stay byte-identical to a no-cache reference, a kill -9 mid-write
+# must leave a self-repairing store, and an in-process daemon must serve
+# jobs (degraded, then recovered) over a fully dead cache dir
+# (DESIGN.md §15).
 fault-check:
-	$(GO) run ./cmd/faultcheck
+	$(GO) run ./cmd/gatecheck fault
 
 fmt:
 	gofmt -w .

@@ -3,7 +3,7 @@
 // fsynced, and is renamed over the target in one atomic step. A reader
 // (or a process that crashes mid-write) therefore sees either the old
 // file or the complete new one — never a truncated hybrid. The trace
-// store (lttrace -record, Spill) and the persistent result cache both
+// store (lttrace -record) and the persistent result cache both
 // depend on this: a cache open trusts what it finds on disk, so a
 // torn write must be impossible rather than merely unlikely.
 //
@@ -29,14 +29,6 @@ import (
 // previous content of path, if any, is left untouched.
 func WriteFile(path string, write func(io.Writer) error) error {
 	return WriteFileFS(faultfs.OS, path, write)
-}
-
-// WriteFileBytes is WriteFile for in-memory content.
-func WriteFileBytes(path string, data []byte) error {
-	return WriteFileFS(faultfs.OS, path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
 }
 
 // WriteFileFS is WriteFile over an injected filesystem: the seam the

@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/faultfs"
 )
 
 func TestWriteFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.bin")
-	if err := WriteFileBytes(path, []byte("hello")); err != nil {
+	if err := WriteFileBytesFS(faultfs.OS, path, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -26,7 +28,7 @@ func TestWriteFileRoundTrip(t *testing.T) {
 func TestWriteFileReplacesExisting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.bin")
 	for _, content := range []string{"first", "second, longer content"} {
-		if err := WriteFileBytes(path, []byte(content)); err != nil {
+		if err := WriteFileBytesFS(faultfs.OS, path, []byte(content)); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := os.ReadFile(path)
@@ -42,7 +44,7 @@ func TestWriteFileReplacesExisting(t *testing.T) {
 func TestWriteFileFailureLeavesOldContent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
-	if err := WriteFileBytes(path, []byte("intact")); err != nil {
+	if err := WriteFileBytesFS(faultfs.OS, path, []byte("intact")); err != nil {
 		t.Fatal(err)
 	}
 	err := WriteFile(path, func(w io.Writer) error {
@@ -66,7 +68,7 @@ func TestWriteFileFailureLeavesOldContent(t *testing.T) {
 
 func TestWriteFileNoTempLeftOnSuccess(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteFileBytes(filepath.Join(dir, "a"), []byte("x")); err != nil {
+	if err := WriteFileBytesFS(faultfs.OS, filepath.Join(dir, "a"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	ents, _ := os.ReadDir(dir)

@@ -29,7 +29,9 @@ const Version = "0.9.0-dev"
 // eventually evicted) instead of ever being served. See DESIGN.md §12.
 // exp2: two-stage prefetch-issue lifecycle (drops cancel, no stale
 // merges) and context-banked shared predictor state.
-const CacheVersion = "exp2"
+// exp3: convergence's decile cells run the shared coverage driver, which
+// feeds early evictions back to the predictor, and return sim.Coverage.
+const CacheVersion = "exp3"
 
 // Commit returns the VCS revision the binary was built from (12 hex
 // digits, "+dirty" when the tree was modified), or "unknown" for builds

@@ -8,9 +8,9 @@ import (
 )
 
 // batchCase is one randomized access stream replayed two ways: through
-// AccessBatch on one cache and through a scalar Access loop on a second,
-// identically configured cache. The two must agree on every AccessResult
-// (including eviction info) and on the final Stats.
+// AccessBatchHits on one cache and through a scalar Access loop on a
+// second, identically configured cache. The two must agree on every hit
+// bit, on the final Stats and on the final cache contents.
 type batchCase struct {
 	addrs  []mem.Addr
 	writes []bool
@@ -57,8 +57,8 @@ func interleaveOps(rng *rand.Rand, a, b *Cache, footprint int, now uint64) {
 			a.InsertPrefetch(addr, 0, false, now)
 			b.InsertPrefetch(addr, 0, false, now)
 		default:
-			a.Invalidate(addr, now)
-			b.Invalidate(addr, now)
+			a.invalidate(addr, now)
+			b.invalidate(addr, now)
 		}
 	}
 }
@@ -68,39 +68,51 @@ func checkEquivalence(t *testing.T, cfg Config, bc batchCase, seed int64) {
 	batched := MustNew(cfg)
 	scalar := MustNew(cfg)
 	rng := rand.New(rand.NewSource(seed))
-	got := make([]AccessResult, len(bc.addrs))
-	want := make([]AccessResult, len(bc.addrs))
+	hits := make([]bool, len(bc.addrs))
 	for pos := 0; pos < len(bc.addrs); {
 		n := 1 + rng.Intn(97) // ragged batch boundaries
 		if pos+n > len(bc.addrs) {
 			n = len(bc.addrs) - pos
 		}
-		batched.AccessBatch(bc.addrs[pos:pos+n], bc.writes[pos:pos+n], bc.nows[pos:pos+n], got[pos:pos+n])
+		batched.AccessBatchHits(bc.addrs[pos:pos+n], bc.writes[pos:pos+n], bc.nows[pos:pos+n], hits[pos:pos+n])
 		for i := pos; i < pos+n; i++ {
-			want[i] = scalar.Access(bc.addrs[i], bc.writes[i], bc.nows[i])
+			if want := scalar.Access(bc.addrs[i], bc.writes[i], bc.nows[i]); hits[i] != want.Hit {
+				t.Fatalf("cfg %+v: access %d (%#x): batch hit %v, scalar %+v", cfg, i, bc.addrs[i], hits[i], want)
+			}
 		}
 		pos += n
 		interleaveOps(rng, batched, scalar, 1<<12, bc.nows[pos-1])
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("cfg %+v: access %d (%#x): batch %+v, scalar %+v", cfg, i, bc.addrs[i], got[i], want[i])
-		}
-	}
+	checkSameState(t, cfg, batched, scalar, bc)
+}
+
+// checkSameState compares two caches after equivalent histories: their
+// Stats and valid-line counts, then the full results (eviction records
+// included) of replaying bc through both caches' Access, which match only
+// if the tag stores, flags, replacement order and touch clocks match too.
+func checkSameState(t *testing.T, cfg Config, batched, scalar *Cache, bc batchCase) {
+	t.Helper()
 	if bs, ss := batched.Stats(), scalar.Stats(); bs != ss {
 		t.Fatalf("cfg %+v: stats diverge: batch %+v, scalar %+v", cfg, bs, ss)
 	}
 	if bv, sv := batched.ValidLines(), scalar.ValidLines(); bv != sv {
 		t.Fatalf("cfg %+v: valid lines diverge: batch %d, scalar %d", cfg, bv, sv)
 	}
+	for i := range bc.addrs {
+		got := batched.Access(bc.addrs[i], bc.writes[i], bc.nows[i])
+		want := scalar.Access(bc.addrs[i], bc.writes[i], bc.nows[i])
+		if got != want {
+			t.Fatalf("cfg %+v: replay access %d (%#x): batch-fed cache %+v, scalar-fed %+v", cfg, i, bc.addrs[i], got, want)
+		}
+	}
 }
 
-// TestAccessBatchScalarEquivalence pins the batch contract: AccessBatch
-// must produce the exact AccessResult sequence and Stats of a scalar
-// Access loop over the same stream, for every policy and associativity,
-// including runs with prefetch inserts and invalidations interleaved at
-// batch boundaries.
-func TestAccessBatchScalarEquivalence(t *testing.T) {
+// TestAccessBatchHitsScalarEquivalence pins the batch contract:
+// AccessBatchHits must produce the hit bits, Stats and cache contents of
+// a scalar Access loop over the same stream, for every policy and
+// associativity, including runs with prefetch inserts and invalidations
+// interleaved at batch boundaries.
+func TestAccessBatchHitsScalarEquivalence(t *testing.T) {
 	configs := []Config{
 		{Name: "dm", Size: 1024, BlockSize: 64, Assoc: 1},
 		{Name: "2w", Size: 2048, BlockSize: 64, Assoc: 2},
@@ -154,9 +166,9 @@ func TestColdFillStats(t *testing.T) {
 	}
 }
 
-// FuzzAccessBatchEquivalence drives arbitrary byte strings as access
+// FuzzAccessBatchHitsEquivalence drives arbitrary byte strings as access
 // streams through the batch and scalar paths.
-func FuzzAccessBatchEquivalence(f *testing.F) {
+func FuzzAccessBatchHitsEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x80, 0x40, 0xFF, 0x00, 0x80}, uint8(1))
 	f.Add([]byte{0xAA, 0xBB, 0xAA, 0xBB, 0xCC}, uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, assocSel uint8) {
@@ -167,24 +179,23 @@ func FuzzAccessBatchEquivalence(f *testing.F) {
 		cfg := Config{Name: "fuzz", Size: 64 * 8 * assoc, BlockSize: 64, Assoc: assoc,
 			Policy: PolicyKind(assocSel % 3)}
 		batched, scalar := MustNew(cfg), MustNew(cfg)
-		addrs := make([]mem.Addr, len(data))
-		writes := make([]bool, len(data))
-		nows := make([]uint64, len(data))
-		for i, bb := range data {
-			addrs[i] = mem.Addr(bb) << 4 // span several sets and tags
-			writes[i] = bb&1 != 0
-			nows[i] = uint64(i * int(bb%5))
+		bc := batchCase{
+			addrs:  make([]mem.Addr, len(data)),
+			writes: make([]bool, len(data)),
+			nows:   make([]uint64, len(data)),
 		}
-		got := make([]AccessResult, len(addrs))
-		batched.AccessBatch(addrs, writes, nows, got)
-		for i := range addrs {
-			want := scalar.Access(addrs[i], writes[i], nows[i])
-			if got[i] != want {
-				t.Fatalf("access %d: batch %+v, scalar %+v", i, got[i], want)
+		for i, bb := range data {
+			bc.addrs[i] = mem.Addr(bb) << 4 // span several sets and tags
+			bc.writes[i] = bb&1 != 0
+			bc.nows[i] = uint64(i * int(bb%5))
+		}
+		hits := make([]bool, len(data))
+		batched.AccessBatchHits(bc.addrs, bc.writes, bc.nows, hits)
+		for i := range bc.addrs {
+			if want := scalar.Access(bc.addrs[i], bc.writes[i], bc.nows[i]); hits[i] != want.Hit {
+				t.Fatalf("access %d: batch hit %v, scalar %+v", i, hits[i], want)
 			}
 		}
-		if batched.Stats() != scalar.Stats() {
-			t.Fatalf("stats diverge: %+v vs %+v", batched.Stats(), scalar.Stats())
-		}
+		checkSameState(t, cfg, batched, scalar, bc)
 	})
 }

@@ -6,11 +6,10 @@
 //
 // The tag store is laid out structure-of-arrays (parallel tag / packed-flag
 // / stamp arrays, see DESIGN.md §9): the lookup loop touches only the tag
-// lane, and the batch entry points (AccessBatch, AccessBatchHits) hoist
-// set-index/tag extraction into a separate pass over the whole batch so it
-// compiles to straight-line shift/mask code. AccessBatch is the primary
-// demand-access contract; the scalar Access is a one-element adapter kept
-// for tests and genuinely serialized callers (the timing model).
+// lane. Demand accesses take one of two forms: AccessBatchHits runs a whole
+// batch and reports hit bits only (the base systems and miss-rate passes),
+// and AccessIndexed (with Access as its one-line adapter) runs one access
+// and reports the full result, eviction record included.
 package cache
 
 import (
@@ -181,11 +180,6 @@ type Cache struct {
 	rng      uint64 // xorshift state for Random policy
 	lruTouch bool   // policy == LRU: hits refresh the order lane
 	stats    Stats
-
-	// Batch scratch for the hoisted set-index/tag extraction pass; grown to
-	// the largest batch seen and reused (zero steady-state allocation).
-	setScratch []int32
-	tagScratch []mem.Addr
 }
 
 // New builds a cache from cfg.
@@ -309,12 +303,11 @@ func (c *Cache) evictWay(w, idx int, now uint64) EvictInfo {
 }
 
 // AccessIndexed performs one demand access given a precomputed set index
-// and tag (as produced by the cache's own Geometry). It is the building
-// block of the batch entry points, exported so drivers that already
-// extracted idx/tag for their own bookkeeping (classification, pending-
-// prediction maps) do not pay the extraction twice. idx and tag must come
-// from this cache's Geometry — a mismatched pair silently corrupts the
-// simulation. Use Access when in doubt.
+// and tag (as produced by the cache's own Geometry). It is exported so
+// drivers that already extracted idx/tag for their own bookkeeping
+// (classification, pending-prediction maps) do not pay the extraction
+// twice. idx and tag must come from this cache's Geometry — a mismatched
+// pair silently corrupts the simulation. Use Access when in doubt.
 func (c *Cache) AccessIndexed(idx int, tag mem.Addr, write bool, now uint64) AccessResult {
 	c.stats.Accesses++
 	c.clock++
@@ -360,66 +353,26 @@ func (c *Cache) AccessIndexed(idx int, tag mem.Addr, write bool, now uint64) Acc
 // Access performs a demand access to address a at external clock now.
 // On a miss the block is filled (write-allocate) and the displaced line, if
 // any, is reported in the result. Stores mark the line dirty (write-back).
-//
-// Access is the one-element adapter over the batch contract: it extracts
-// idx/tag for a single address and defers to AccessIndexed. Hot loops that
-// hold whole reference batches should call AccessBatch instead.
+// It is the one-line adapter over AccessIndexed.
 func (c *Cache) Access(a mem.Addr, write bool, now uint64) AccessResult {
 	return c.AccessIndexed(c.geo.Index(a), c.geo.Tag(a), write, now)
 }
 
-// extract runs the hoisted extraction pass: set indexes and tags for every
-// address in the batch, written to the cache-owned scratch lanes. The loop
-// body is pure shift/mask on independent elements, so it vectorizes.
-func (c *Cache) extract(addrs []mem.Addr) {
-	if cap(c.setScratch) < len(addrs) {
-		c.setScratch = make([]int32, len(addrs))
-		c.tagScratch = make([]mem.Addr, len(addrs))
-	}
-	sets := c.setScratch[:len(addrs)]
-	tags := c.tagScratch[:len(addrs)]
-	bb := c.geo.BlockBits()
-	sb := c.geo.SetBits()
-	mask := mem.Addr(c.geo.Sets() - 1)
-	for i, a := range addrs {
-		bn := a >> bb
-		sets[i] = int32(bn & mask)
-		tags[i] = bn >> sb
-	}
-}
-
-// AccessBatch performs len(addrs) demand accesses: address addrs[i] with
-// write flag writes[i] at external clock now[i], filling out[i]. It is the
-// primary demand-access contract (DESIGN.md §9) and is exactly equivalent
-// to the scalar loop
+// AccessBatchHits performs len(addrs) demand accesses: address addrs[i]
+// with write flag writes[i] at external clock now[i], setting hits[i] to
+// whether addrs[i] was present. The state evolution, every Stats counter
+// and the Random-policy rng sequence are exactly those of the scalar loop
 //
-//	for i := range addrs { out[i] = c.Access(addrs[i], writes[i], now[i]) }
+//	for i := range addrs { hits[i] = c.Access(addrs[i], writes[i], now[i]).Hit }
 //
-// including every Stats counter and the Random-policy rng sequence
-// (TestAccessBatchScalarEquivalence pins this). writes, now and out must
-// each hold at least len(addrs) elements; out must not alias the input
-// slices. The input slices belong to the caller and are not retained.
-func (c *Cache) AccessBatch(addrs []mem.Addr, writes []bool, now []uint64, out []AccessResult) {
-	n := len(addrs)
-	if n == 0 {
-		return
-	}
-	writes, now, out = writes[:n], now[:n], out[:n]
-	c.extract(addrs)
-	for i := 0; i < n; i++ {
-		out[i] = c.AccessIndexed(int(c.setScratch[i]), c.tagScratch[i], writes[i], now[i])
-	}
-}
-
-// AccessBatchHits performs the same accesses (and exact state evolution,
-// Stats and Random-policy rng sequence) as AccessBatch, but reports only
-// the hit outcome per access: hits[i] is set to whether addrs[i] was
-// present. This is the base-system contract of the coverage drivers — the
-// shadow hierarchy's per-access eviction details are never consumed, so
-// this path skips materializing EvictInfo (address rebuild, dead-time)
-// entirely, folds set/tag extraction into the access loop, and batches the
-// statistics updates into per-call accumulators. Slice contract as in
-// AccessBatch.
+// (TestAccessBatchHitsScalarEquivalence pins this). It is the base-system
+// contract of the coverage drivers: the shadow hierarchy's per-access
+// eviction details are never consumed, so this path skips materializing
+// EvictInfo (address rebuild, dead-time) entirely, folds set/tag
+// extraction into the access loop, and batches the statistics updates into
+// per-call accumulators. writes, now and hits must each hold at least
+// len(addrs) elements; hits must not alias the input slices. The input
+// slices belong to the caller and are not retained.
 func (c *Cache) AccessBatchHits(addrs []mem.Addr, writes []bool, now []uint64, hits []bool) {
 	n := len(addrs)
 	if n == 0 {
@@ -525,15 +478,9 @@ func (c *Cache) Probe(a mem.Addr) bool {
 	return c.lookupWay(c.geo.Index(a)*c.assoc, c.geo.Tag(a)) >= 0
 }
 
-// ProbePrefetched reports whether block a is present and still marked as an
-// untouched prefetch.
-func (c *Cache) ProbePrefetched(a mem.Addr) bool {
-	w := c.lookupWay(c.geo.Index(a)*c.assoc, c.geo.Tag(a))
-	return w >= 0 && c.flags[w]&flagPrefetched != 0
-}
-
-// Invalidate removes block a if present and returns its eviction record.
-func (c *Cache) Invalidate(a mem.Addr, now uint64) (EvictInfo, bool) {
+// invalidate removes block a if present and returns its eviction record
+// (the batch-equivalence tests interleave it with demand accesses).
+func (c *Cache) invalidate(a mem.Addr, now uint64) (EvictInfo, bool) {
 	idx := c.geo.Index(a)
 	w := c.lookupWay(idx*c.assoc, c.geo.Tag(a))
 	if w < 0 {

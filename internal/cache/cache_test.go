@@ -164,7 +164,7 @@ func TestPrefetchInsertVictim(t *testing.T) {
 	if !c.Probe(0x000) || !c.Probe(0x100) {
 		t.Error("contents wrong after victim insert")
 	}
-	if !c.ProbePrefetched(0x100) {
+	if r := c.Access(0x100, false, 3); !r.PrefetchHit {
 		t.Error("inserted line must be marked prefetched")
 	}
 }
@@ -220,11 +220,11 @@ func TestPrefetchUnusedEviction(t *testing.T) {
 func TestInvalidateAndFlush(t *testing.T) {
 	c := tiny(LRU)
 	c.Access(0x000, true, 5)
-	ev, ok := c.Invalidate(0x000, 9)
+	ev, ok := c.invalidate(0x000, 9)
 	if !ok || !ev.Dirty || ev.DeadTime != 4 {
 		t.Errorf("invalidate = %+v,%v", ev, ok)
 	}
-	if _, ok := c.Invalidate(0x000, 9); ok {
+	if _, ok := c.invalidate(0x000, 9); ok {
 		t.Error("second invalidate must miss")
 	}
 	c.Access(0x080, false, 1)

@@ -248,9 +248,6 @@ func TestStringAndAccessors(t *testing.T) {
 	if pr.OnChipBytes() != DefaultParams().OnChipBytes() {
 		t.Error("on-chip bytes")
 	}
-	if pr.StoredSignatures() != 0 {
-		t.Error("fresh predictor should have no stored signatures")
-	}
 	if pr.String() == "" {
 		t.Error("String empty")
 	}

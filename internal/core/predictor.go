@@ -535,16 +535,6 @@ func (pr *Predictor) OffChipTrafficBytes() (writes, fetches uint64) {
 	return pr.stats.SeqWriteBytes + pr.stats.ConfWriteBytes, pr.stats.SeqFetchBytes
 }
 
-// StoredSignatures reports how many signatures currently reside in off-chip
-// sequence storage (for the storage-sensitivity experiments).
-func (pr *Predictor) StoredSignatures() int {
-	n := 0
-	for i := range pr.frames {
-		n += len(pr.frames[i].sigs)
-	}
-	return n
-}
-
 // String summarises the configuration.
 func (pr *Predictor) String() string {
 	return fmt.Sprintf("lt-cords{sigcache=%d/%d-way frames=%d frag=%d onchip=%dKB offchip=%dMB}",

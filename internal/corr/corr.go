@@ -167,13 +167,12 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 		}
 	}
 
-	// Batch pump (DESIGN.md §7/§9): the reference batch goes through the
-	// L1 filter in one AccessBatch call — the analysis itself needs the
-	// full per-miss eviction records — and only the misses flow into the
-	// per-reference correlation bookkeeping below.
+	// Batch pump (DESIGN.md §7/§9): the batch lanes carry the shared
+	// clock rule, each reference goes through the L1 filter on its own —
+	// the analysis needs the full per-miss eviction record — and only the
+	// misses flow into the correlation bookkeeping below.
 	refBuf := make([]trace.Ref, trace.DefaultBatch)
 	lanes := trace.NewBatchLanes(trace.DefaultBatch)
-	rbuf := make([]cache.AccessResult, trace.DefaultBatch)
 	for {
 		n := src.ReadRefs(refBuf)
 		if n == 0 {
@@ -181,9 +180,8 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 		}
 		lanes.Fill(refBuf[:n])
 		res.Refs += uint64(n)
-		l1.AccessBatch(lanes.Addrs[:n], lanes.Writes[:n], lanes.Nows[:n], rbuf[:n])
 		for i := 0; i < n; i++ {
-			r := &rbuf[i]
+			r := l1.Access(lanes.Addrs[i], lanes.Writes[i], lanes.Nows[i])
 			if r.Hit {
 				continue
 			}

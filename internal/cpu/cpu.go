@@ -683,12 +683,6 @@ func (e *Engine) step(ref trace.Ref, i int, pf sim.Prefetcher, filler sim.Prefet
 	}
 }
 
-// L1Stats exposes the L1 cache counters after a run.
-func (e *Engine) L1Stats() cache.Stats { return e.l1.Stats() }
-
-// L2Stats exposes the L2 cache counters after a run.
-func (e *Engine) L2Stats() cache.Stats { return e.l2.Stats() }
-
 // MemBusUtilization returns the memory bus busy fraction over the run.
 func (e *Engine) MemBusUtilization() float64 {
 	return e.memBus.Utilization(e.cycle)

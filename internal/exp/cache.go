@@ -53,7 +53,6 @@ func init() {
 	gob.Register(ltCov{})
 	gob.Register(timingRun{})
 	gob.Register(missRates{})
-	gob.Register(decileCov{})
 	gob.Register(sim.Coverage{})
 	gob.Register(sim.ShardedCoverage{})
 	gob.Register(corr.Result{})

@@ -103,15 +103,7 @@ func (o Options) consolCursors(s *runner.Scheduler, progs []workload.ConsolProgr
 // Coverage configurations are fingerprinted by sim.Config.Fingerprint:
 // canonical (defaults resolved, so Config{} and an explicit PaperL1D()
 // config share an entry) and stable across processes, as the persistent
-// cache requires. A DeadTimes sink is marked (not fingerprinted): cell
-// results are cached and shared, so a side-channel output sink would
-// stay empty on a cache hit — such configs get their own key and are
-// rejected at run time.
-
-// errDeadTimesSink rejects coverage configs carrying an output sink that
-// memoization cannot serve (use the timing cells' cached DeadTimes
-// histogram instead).
-var errDeadTimesSink = fmt.Errorf("exp: coverage cells cannot fill cfg.DeadTimes (results are cached); read timingRun.DeadTimes instead")
+// cache requires.
 
 // pfSpec couples a prefetcher factory with the fingerprint of the
 // parameters it was built from, keeping cell keys and the simulated
@@ -152,9 +144,6 @@ type ltCov struct {
 func (o Options) ltCoverageCell(s *runner.Scheduler, p workload.Preset, params core.Params, cfg sim.Config) runner.Task[ltCov] {
 	key := "cov|" + o.cellKey(p) + "|pf=lt{" + fp(params) + "}|" + cfg.Fingerprint()
 	return runner.Task[ltCov]{Key: key, Codec: resultCodec, Run: func() (ltCov, error) {
-		if cfg.DeadTimes != nil {
-			return ltCov{}, errDeadTimesSink
-		}
 		src, err := o.source(s, p)
 		if err != nil {
 			return ltCov{}, err
@@ -172,9 +161,6 @@ func (o Options) ltCoverageCell(s *runner.Scheduler, p workload.Preset, params c
 func (o Options) dbcpCoverageCell(s *runner.Scheduler, p workload.Preset, params dbcp.Params, cfg sim.Config) runner.Task[sim.Coverage] {
 	key := "cov|" + o.cellKey(p) + "|pf=dbcp{" + fp(params) + "}|" + cfg.Fingerprint()
 	return runner.Task[sim.Coverage]{Key: key, Codec: resultCodec, Run: func() (sim.Coverage, error) {
-		if cfg.DeadTimes != nil {
-			return sim.Coverage{}, errDeadTimesSink
-		}
 		src, err := o.source(s, p)
 		if err != nil {
 			return sim.Coverage{}, err
@@ -345,9 +331,6 @@ func (o Options) shardCoverageCell(s *runner.Scheduler, p workload.Preset, ctx i
 	key := fmt.Sprintf("covshard|%s|scale%d|seed%d|ctx%d|pf=lt{%s}|%s",
 		p.Name, o.Scale, seed, ctx, fp(params), cfg.Fingerprint())
 	return runner.Task[sim.Coverage]{Key: key, Codec: resultCodec, Run: func() (sim.Coverage, error) {
-		if cfg.DeadTimes != nil {
-			return sim.Coverage{}, errDeadTimesSink
-		}
 		m, err := o.materialized(s, p, seed)
 		if err != nil {
 			return sim.Coverage{}, err
@@ -414,90 +397,30 @@ func (o Options) consolCoverageCell(s *runner.Scheduler, progs []workload.Consol
 	}}
 }
 
-// decileCov is the result of a convergence cell: per-execution-decile
-// prediction opportunities and correct predictions.
-type decileCov struct {
-	Total     uint64
-	Corr, Opp [10]uint64
-}
-
 // decileCell measures LT-cords coverage per execution decile
-// (convergence): a shadow cache supplies the opportunity, bucketed by
-// reference index.
-func (o Options) decileCell(s *runner.Scheduler, p workload.Preset, params core.Params) runner.Task[decileCov] {
+// (convergence) with the one coverage driver every other LT-cords cell
+// uses: sim.RunCoverage over the preset's trace, with each reference's Ctx
+// rewritten to its decile, min(i/bucket, 9). A standalone predictor and the
+// single-hierarchy driver use Ctx only to split the classification, so
+// Coverage.Ctx(d) is decile d's share and the totals equal the plain run's.
+func (o Options) decileCell(s *runner.Scheduler, p workload.Preset, params core.Params) runner.Task[sim.Coverage] {
 	key := "decile|" + o.cellKey(p) + "|pf=lt{" + fp(params) + "}"
-	return runner.Task[decileCov]{Key: key, Codec: resultCodec, Run: func() (decileCov, error) {
+	return runner.Task[sim.Coverage]{Key: key, Codec: resultCodec, Run: func() (sim.Coverage, error) {
 		m, err := o.materialized(s, p, o.seed())
 		if err != nil {
-			return decileCov{}, err
+			return sim.Coverage{}, err
 		}
-		var d decileCov
-		d.Total = m.Refs() // from the store's stats: no counting pass
-		if d.Total == 0 {
-			return d, nil
-		}
-		bucket := d.Total / 10
-		if bucket == 0 {
-			bucket = 1
-		}
-		lt := core.MustNew(sim.PaperL1D(), params)
-		main := cache.MustNew(sim.PaperL1D())
-		shadow := cache.MustNew(sim.PaperL1D())
-		geo := main.Geometry()
+		bucket := max(m.Refs()/10, 1)
+		cur := m.Cursor()
 		var n uint64
-		preds := make([]sim.Prediction, 0, 16)
-		var evSlot, fillSlot cache.EvictInfo
-		// Batch pump, shaped like covShard.stepBatch: the shadow cache sees
-		// demand references only, so whole batches flow through the
-		// results-free batch path; the main side stays per-reference
-		// because its prefetch fills must interleave with the lookups.
-		src := m.Cursor()
-		refBuf := make([]trace.Ref, trace.DefaultBatch)
-		lanes := trace.NewBatchLanes(trace.DefaultBatch)
-		hits := make([]bool, trace.DefaultBatch)
-		for {
-			nr := src.ReadRefs(refBuf)
-			if nr == 0 {
-				break
-			}
-			lanes.Fill(refBuf[:nr])
-			shadow.AccessBatchHits(lanes.Addrs[:nr], lanes.Writes[:nr], lanes.Nows[:nr], hits[:nr])
-			for i := 0; i < nr; i++ {
-				ref := refBuf[i]
-				b := n / bucket
-				if b > 9 {
-					b = 9
-				}
+		deciles := trace.FillFunc(func(buf []trace.Ref) int {
+			k := cur.ReadRefs(buf)
+			for i := range buf[:k] {
+				buf[i].Ctx = uint8(min(n/bucket, 9))
 				n++
-				mres := main.Access(ref.Addr, lanes.Writes[i], lanes.Nows[i])
-				if !hits[i] {
-					d.Opp[b]++
-					if mres.Hit {
-						d.Corr[b]++
-					}
-				}
-				var ev *cache.EvictInfo
-				if mres.Evicted.Valid {
-					evSlot = mres.Evicted
-					ev = &evSlot
-				}
-				preds = lt.OnAccess(ref, mres.Hit, ev, preds[:0])
-				for _, pd := range preds {
-					pb := geo.BlockAddr(pd.Addr)
-					if pb == geo.BlockAddr(ref.Addr) || pd.ToL2 {
-						continue
-					}
-					if eo, ins := main.InsertPrefetch(pb, pd.Victim, pd.UseVictim, lanes.Nows[i]); ins {
-						var ep *cache.EvictInfo
-						if eo.Valid {
-							fillSlot = eo
-							ep = &fillSlot
-						}
-						lt.OnPrefetchFill(pb, ep)
-					}
-				}
 			}
-		}
-		return d, nil
+			return k
+		})
+		return sim.RunCoverage(deciles, core.MustNew(sim.PaperL1D(), params), sim.Config{})
 	}}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
@@ -24,7 +25,7 @@ func runConvergence(o Options) (*Report, error) {
 		return nil, err
 	}
 	s := o.sched()
-	tasks := make([]runner.Task[decileCov], len(ps))
+	tasks := make([]runner.Task[sim.Coverage], len(ps))
 	for i, p := range ps {
 		tasks[i] = o.decileCell(s, p, core.DefaultParams())
 	}
@@ -39,17 +40,17 @@ func runConvergence(o Options) (*Report, error) {
 	}
 	tab := textplot.NewTable(headers...)
 	for i, p := range ps {
-		dc := res[i]
-		if dc.Total == 0 {
+		if res[i].Refs == 0 {
 			continue
 		}
 		row := []string{p.Name}
 		for d := 0; d < 10; d++ {
-			if dc.Opp[d] == 0 {
+			c := res[i].Ctx(d)
+			if c.Opportunity == 0 {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, textplot.Pct(float64(dc.Corr[d])/float64(dc.Opp[d])))
+			row = append(row, textplot.Pct(c.CoveragePct()))
 		}
 		tab.AddRow(row...)
 		o.progress("convergence %s done", p.Name)

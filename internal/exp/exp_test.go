@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -193,5 +197,36 @@ func TestConvergenceQuick(t *testing.T) {
 	// Later deciles must not be "-" for a miss-heavy benchmark.
 	if rep.Table().Cell(0, 10) == "-" {
 		t.Error("last decile empty")
+	}
+}
+
+// TestConvergenceMatchesFig8 pins that convergence measures the same
+// coverage as fig8: its deciles split one LT-cords coverage run, so on
+// em3d (a benchmark whose predictor sees early evictions) the decile sums
+// of Opportunity and Correct equal fig8's LT-cords cell.
+func TestConvergenceMatchesFig8(t *testing.T) {
+	p, _ := workload.ByName("em3d")
+	o := Options{Scale: workload.Small}
+	s := runner.New(0)
+	dec, err := runner.All(context.Background(), s, []runner.Task[sim.Coverage]{o.decileCell(s, p, core.DefaultParams())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8, err := runner.All(context.Background(), s, []runner.Task[ltCov]{o.ltCoverageCell(s, p, core.DefaultParams(), sim.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum sim.CtxCoverage
+	for d := 0; d < 10; d++ {
+		sum.Opportunity += dec[0].Ctx(d).Opportunity
+		sum.Correct += dec[0].Ctx(d).Correct
+	}
+	want := fig8[0].Cov
+	if sum.Opportunity != want.Opportunity || sum.Correct != want.Correct {
+		t.Fatalf("convergence deciles sum to %d opportunity, %d correct; fig8 LT-cords has %d, %d",
+			sum.Opportunity, sum.Correct, want.Opportunity, want.Correct)
+	}
+	if want.Early == 0 {
+		t.Fatal("em3d no longer sees early evictions; pick a benchmark that does")
 	}
 }

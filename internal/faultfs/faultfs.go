@@ -23,9 +23,9 @@
 // The Injector always delegates to the real filesystem underneath (a
 // short write really leaves Short bytes in the file), so the artifacts
 // a fault leaves behind are the artifacts a real fault would leave —
-// which is what lets cmd/faultcheck prove the cache self-repairs from
-// them. SetRules swaps the live schedule atomically, so a harness can
-// kill a "disk" mid-run and later heal it.
+// which is what lets the fault gate (cmd/gatecheck fault) prove the
+// cache self-repairs from them. SetRules swaps the live schedule
+// atomically, so a harness can kill a "disk" mid-run and later heal it.
 package faultfs
 
 import (

@@ -105,5 +105,4 @@ func (g Geometry) Rebuild(tag Addr, index int) Addr {
 const (
 	KiB = 1 << 10
 	MiB = 1 << 20
-	GiB = 1 << 30
 )

@@ -100,10 +100,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.Status(s.cfg.Sched))
 }
 
-// handleEvents streams a job's lifecycle over SSE: a "state" event per
-// transition, a "progress" event per completed experiment step (replayed
-// from the start for late subscribers), and a final "done" event carrying
-// the terminal state.
+// handleEvents streams a job's lifecycle over SSE: the job's state first,
+// then a "progress" event per completed experiment step (replayed from the
+// start for late subscribers), a "state" event per later transition, and a
+// final "done" event carrying the terminal state. The stream writes from
+// its own index into the job's progress lines, so a client that falls
+// behind still receives every event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -124,17 +126,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	ch, unsubscribe := j.Subscribe()
-	defer unsubscribe()
+	event := func(typ, data string) { fmt.Fprintf(w, "event: %s\ndata: %s\n\n", typ, data) }
+	var sent JobState
+	next := 0
 	for {
-		select {
-		case e, live := <-ch:
-			if !live {
-				return
+		state, lines, changed := j.events(next)
+		// Progress lines arrive only while the job runs, so a new
+		// non-terminal state precedes them and a terminal one follows.
+		if sent == "" || (state != sent && !state.Terminal()) {
+			event("state", string(state))
+			sent = state
+		}
+		for _, line := range lines {
+			event("progress", line)
+		}
+		next += len(lines)
+		if state.Terminal() {
+			if state != sent {
+				event("state", string(state))
 			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, e.Data)
+			event("done", string(state))
 			fl.Flush()
+			return
+		}
+		fl.Flush()
+		select {
+		case <-changed:
 		case <-r.Context().Done():
 			return
 		}

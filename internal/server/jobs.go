@@ -47,19 +47,14 @@ type Job struct {
 	result   *exp.JobResult
 	progress []string
 	cancel   context.CancelFunc
-	subs     map[chan Event]struct{}
+	// changed is closed and replaced on every state or progress change,
+	// so an event stream waits on it instead of holding a buffer of its
+	// own: each stream reads state and progress from the job itself.
+	changed chan struct{}
 
 	// statsBefore snapshots the shared scheduler's counters when the job
 	// starts running, so live status can report the job-scoped delta.
 	statsBefore runner.Stats
-}
-
-// Event is one server-sent event on a job's stream.
-type Event struct {
-	// Type is the SSE event name: "state", "progress" or "done".
-	Type string
-	// Data is the event payload (one line).
-	Data string
 }
 
 // JobStatus is the wire snapshot of a job (GET /v1/jobs/{id} and the
@@ -157,7 +152,7 @@ func (m *Manager) Submit(spec exp.JobSpec) (*Job, error) {
 		Spec:    norm,
 		state:   JobQueued,
 		created: time.Now(),
-		subs:    map[chan Event]struct{}{},
+		changed: make(chan struct{}),
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j.cancel = cancel
@@ -332,18 +327,17 @@ func (j *Job) Status(sched *runner.Scheduler) JobStatus {
 // setRunning transitions queued → running.
 func (j *Job) setRunning(before runner.Stats) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.state = JobRunning
 	j.started = time.Now()
 	j.statsBefore = before
-	j.mu.Unlock()
-	j.broadcast(Event{Type: "state", Data: string(JobRunning)})
+	j.notifyLocked()
 }
 
-// finish resolves the job from res/err and notifies subscribers. The
-// terminal event stream order is: a "state" event, then "done" (which
-// closes every subscription).
+// finish resolves the job from res/err and wakes its event streams.
 func (j *Job) finish(res *exp.JobResult, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.finished = time.Now()
 	switch {
 	case err == nil:
@@ -356,86 +350,27 @@ func (j *Job) finish(res *exp.JobResult, err error) {
 		j.state = JobFailed
 		j.err = err.Error()
 	}
-	state := j.state
-	subs := make([]chan Event, 0, len(j.subs))
-	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	j.subs = map[chan Event]struct{}{}
-	j.mu.Unlock()
-	for _, ch := range subs {
-		sendEvent(ch, Event{Type: "state", Data: string(state)})
-		sendEvent(ch, Event{Type: "done", Data: string(state)})
-		close(ch)
-	}
+	j.notifyLocked()
 }
 
-// Subscribe returns a channel of the job's events, pre-loaded with the
-// current state and any progress so far; a terminal job gets the full
-// replay and an immediate close. unsubscribe detaches a live listener
-// (closing the channel is the job's responsibility otherwise).
-func (j *Job) Subscribe() (ch chan Event, unsubscribe func()) {
+// notifyLocked wakes every event stream waiting on the job. j.mu must be
+// held.
+func (j *Job) notifyLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
+}
+
+// events returns the job's state, its progress lines from index from on,
+// and a channel that is closed at the job's next change.
+func (j *Job) events(from int) (JobState, []string, <-chan struct{}) {
 	j.mu.Lock()
-	replay := make([]Event, 0, len(j.progress)+2)
-	replay = append(replay, Event{Type: "state", Data: string(j.state)})
-	for _, p := range j.progress {
-		replay = append(replay, Event{Type: "progress", Data: p})
-	}
-	terminal := j.state.Terminal()
-	if terminal {
-		replay = append(replay, Event{Type: "done", Data: string(j.state)})
-	}
-	ch = make(chan Event, len(replay)+64)
-	for _, e := range replay {
-		ch <- e
-	}
-	if terminal {
-		close(ch)
-		j.mu.Unlock()
-		return ch, func() {}
-	}
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if _, live := j.subs[ch]; live {
-			delete(j.subs, ch)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
+	defer j.mu.Unlock()
+	return j.state, j.progress[from:], j.changed
 }
 
-// broadcast fans an event out to subscribers and, for progress lines,
-// records it for replay.
-func (j *Job) broadcast(e Event) {
-	j.mu.Lock()
-	if e.Type == "progress" {
-		j.progress = append(j.progress, e.Data)
-	}
-	subs := make([]chan Event, 0, len(j.subs))
-	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range subs {
-		sendEvent(ch, e)
-	}
-}
-
-// sendEvent delivers without blocking: a subscriber that stopped
-// draining (a stalled SSE connection) loses events rather than stalling
-// the job.
-func sendEvent(ch chan Event, e Event) {
-	select {
-	case ch <- e:
-	default:
-	}
-}
-
-// progressWriter adapts Job.broadcast to the io.Writer contract of
-// exp.Options.Progress: each Write is one (newline-terminated) progress
-// line from the experiment harness.
+// progressWriter records progress lines on the job: the io.Writer
+// contract of exp.Options.Progress, where each Write is one
+// (newline-terminated) progress line from the experiment harness.
 type progressWriter Job
 
 func (w *progressWriter) Write(p []byte) (int, error) {
@@ -444,7 +379,11 @@ func (w *progressWriter) Write(p []byte) (int, error) {
 		line = line[:len(line)-1]
 	}
 	if line != "" {
-		(*Job)(w).broadcast(Event{Type: "progress", Data: line})
+		j := (*Job)(w)
+		j.mu.Lock()
+		j.progress = append(j.progress, line)
+		j.notifyLocked()
+		j.mu.Unlock()
 	}
 	return len(p), nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -280,6 +281,60 @@ func TestEventsStream(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("stream missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestEventsStreamLaggingClient pins lossless streaming: a client that
+// stops reading while the job prints far more progress lines than any
+// socket buffers still receives every line, in order, and the final done.
+func TestEventsStreamLaggingClient(t *testing.T) {
+	const lines = 20000
+	release := make(chan struct{})
+	run := func(ctx context.Context, spec exp.JobSpec, sched *runner.Scheduler) (*exp.JobResult, error) {
+		<-release
+		for i := 0; i < lines; i++ {
+			fmt.Fprintf(spec.Progress, "line %d\n", i)
+		}
+		return &exp.JobResult{Spec: spec}, nil
+	}
+	s := newTestServer(t, run, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var st JobStatus
+	doJSON(t, s.Handler(), "POST", "/v1/jobs", exp.JobSpec{Experiments: []string{"fig11"}}, &st)
+	waitState(t, s, st.ID, JobRunning)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
+	if first, err := rd.ReadString('\n'); err != nil || first != "event: state\n" {
+		t.Fatalf("first line %q, %v", first, err)
+	}
+	// The stream is attached; the job now prints every line before the
+	// client reads another byte.
+	close(release)
+	waitState(t, s, st.ID, JobDone)
+	rest, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(rest)
+	next := 0
+	for _, ev := range strings.Split(body, "\n\n") {
+		if data, ok := strings.CutPrefix(ev, "event: progress\ndata: "); ok {
+			if want := fmt.Sprintf("line %d", next); data != want {
+				t.Fatalf("progress event %d is %q, want %q", next, data, want)
+			}
+			next++
+		}
+	}
+	if next != lines {
+		t.Fatalf("stream carried %d progress events, want %d", next, lines)
+	}
+	if !strings.HasSuffix(body, "event: state\ndata: done\n\nevent: done\ndata: done\n\n") {
+		t.Fatalf("stream does not end with state and done events: ...%q", body[max(0, len(body)-120):])
 	}
 }
 

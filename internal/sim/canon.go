@@ -14,10 +14,6 @@ import "fmt"
 //   - Workers: results are byte-identical at any worker count (the §11
 //     determinism contract), so a warm cache must hit regardless of how
 //     the cold run was parallelized.
-//   - The DeadTimes sink's contents: a side-channel output, not an input.
-//     Its presence is still marked, because a run with a sink is handled
-//     differently by callers (and coverage cells reject such configs —
-//     a cached result could not replay into the sink).
 //
 // The encoding is part of the on-disk cache format: adding a field here
 // is a schema change, and semantic changes invisible to these fields
@@ -34,10 +30,6 @@ func (cfg Config) Fingerprint() string {
 	if cfg.WithL2 {
 		l2 = cfg.L2.Fingerprint()
 	}
-	dt := ""
-	if cfg.DeadTimes != nil {
-		dt = ",deadtimes=sink"
-	}
-	return fmt.Sprintf("l1{%s},l2{%s},ctx%d,shared=%t%s",
-		cfg.L1.Fingerprint(), l2, cfg.Contexts, cfg.SharedState, dt)
+	return fmt.Sprintf("l1{%s},l2{%s},ctx%d,shared=%t",
+		cfg.L1.Fingerprint(), l2, cfg.Contexts, cfg.SharedState)
 }

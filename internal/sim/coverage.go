@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -21,11 +20,6 @@ type Config struct {
 	// off-chip (L2) miss elimination can be measured too.
 	L2     cache.Config
 	WithL2 bool
-	// DeadTimes, when non-nil, collects the shadow cache's eviction
-	// dead-times (instruction-clock delta between last touch and eviction)
-	// for the Figure 2 analysis. The histogram is not synchronized, so a
-	// run with a DeadTimes sink stays serial regardless of Workers.
-	DeadTimes *stats.Log2Histogram
 
 	// Contexts is the shard count for Run: references must carry Ctx tags
 	// in [0, Contexts); an out-of-range tag fails the run (no silent
@@ -184,12 +178,10 @@ type covShard struct {
 
 	// Batch scratch, reused across every stepBatch call (zero steady-state
 	// allocation): the address/write/clock lanes handed to the cache
-	// batch entry points, the shadow hit lane (plus full shadow results
-	// when a DeadTimes sink needs eviction details), and the compacted
-	// shadow-L2 miss stream for WithL2 runs.
+	// batch entry point, the shadow hit lane, and the compacted shadow-L2
+	// miss stream for WithL2 runs.
 	lanes    *trace.BatchLanes
 	bHits    []bool
-	sres     []cache.AccessResult
 	l2Addrs  []mem.Addr
 	l2Writes []bool
 	l2Nows   []uint64
@@ -241,9 +233,6 @@ func newCovShard(cfg *Config, pf Prefetcher) (*covShard, error) {
 // (the address/write/clock lanes grow inside BatchLanes.Fill).
 func (s *covShard) grow(n int) {
 	s.bHits = make([]bool, n)
-	if s.cfg.DeadTimes != nil {
-		s.sres = make([]cache.AccessResult, n)
-	}
 	if s.cfg.WithL2 {
 		s.l2Addrs = make([]mem.Addr, n)
 		s.l2Writes = make([]bool, n)
@@ -255,7 +244,7 @@ func (s *covShard) grow(n int) {
 // stepBatch advances the shard by a batch of committed references. The
 // base (shadow) hierarchy sees demand references only — nothing the
 // predictor does on the main side can interleave with it — so the whole
-// batch goes through cache.AccessBatch in one pass: the shadow L1 over
+// batch goes through cache.AccessBatchHits in one pass: the shadow L1 over
 // every reference, then the shadow L2 over the compacted shadow-miss
 // stream. The main side stays per-reference (prefetch fills issued for
 // reference i must land before reference i+1's lookup) but reuses the
@@ -286,20 +275,9 @@ func (s *covShard) stepBatch(refs []trace.Ref) {
 		s.cov.PerCtx = append(s.cov.PerCtx, make([]CtxCoverage, maxCtx+1-len(s.cov.PerCtx))...)
 	}
 
-	if s.cfg.DeadTimes != nil {
-		// The dead-time sink needs the shadow evictions in full.
-		s.shadow.AccessBatch(addrs[:n], writes[:n], nows[:n], s.sres[:n])
-		for i := 0; i < n; i++ {
-			s.bHits[i] = s.sres[i].Hit
-			if s.sres[i].Evicted.Valid {
-				s.cfg.DeadTimes.Add(s.sres[i].Evicted.DeadTime)
-			}
-		}
-	} else {
-		// Common case: only the base hit/miss outcome (and aggregate
-		// Stats) are consumed, so the results-free batch path applies.
-		s.shadow.AccessBatchHits(addrs[:n], writes[:n], nows[:n], s.bHits[:n])
-	}
+	// Only the base hit/miss outcome (and aggregate Stats) are consumed,
+	// so the results-free batch path applies.
+	s.shadow.AccessBatchHits(addrs[:n], writes[:n], nows[:n], s.bHits[:n])
 	if s.cfg.WithL2 {
 		m := 0
 		for i := 0; i < n; i++ {
@@ -439,7 +417,7 @@ func RunCoverage(src trace.Source, pf Prefetcher, cfg Config) (Coverage, error) 
 	}
 	// Fixed batch buffer reused across the whole run (see DESIGN.md §7);
 	// whole batches flow into the shard so the base-system lookups run
-	// through cache.AccessBatch.
+	// through cache.AccessBatchHits.
 	refBuf := make([]trace.Ref, trace.DefaultBatch)
 	for {
 		nrefs := src.ReadRefs(refBuf)

@@ -62,9 +62,8 @@ func MergeShards(shards []Coverage) ShardedCoverage {
 // segments are consumed, in stream order, by the one worker that owns the
 // shard — and the results are byte-identical to the serial run (see
 // DESIGN.md §11 for the ownership and merge rules). Shared predictor
-// state needs the global stream order, and a DeadTimes sink is
-// unsynchronized, so either forces the serial path. When Workers > 1,
-// newPF must be safe to call from concurrent goroutines.
+// state needs the global stream order, so it forces the serial path.
+// When Workers > 1, newPF must be safe to call from concurrent goroutines.
 func Run(src trace.Source, newPF func(ctx int) Prefetcher, cfg Config) (ShardedCoverage, error) {
 	if cfg.Contexts < 1 || cfg.Contexts > MaxShards {
 		return ShardedCoverage{}, fmt.Errorf("sim: %d contexts outside the supported 1..%d (trace.Ref.Ctx is uint8)",
@@ -89,7 +88,7 @@ func Run(src trace.Source, newPF func(ctx int) Prefetcher, cfg Config) (ShardedC
 	}
 
 	workers := cfg.Workers
-	if cfg.SharedState || cfg.DeadTimes != nil {
+	if cfg.SharedState {
 		workers = 1
 	}
 	if workers > len(shards) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -165,20 +164,6 @@ func TestPctHelpers(t *testing.T) {
 	c = CtxCoverage{Opportunity: 100, Correct: 60, Incorrect: 10, Train: 30, Early: 5}
 	if c.CoveragePct() != 0.6 || c.IncorrectPct() != 0.1 || c.TrainPct() != 0.3 || c.EarlyPct() != 0.05 {
 		t.Errorf("percentages wrong: %+v", c)
-	}
-}
-
-func TestDeadTimeCollection(t *testing.T) {
-	hist := stats.NewLog2Histogram(40)
-	src := workload.ArraySweep(workload.SweepConfig{
-		Base: 0x100000, Arrays: 1, Elems: 8192, Stride: 64, Iters: 2, PCBase: 0x10, Gap: workload.Gaps{Mean: 3},
-	})
-	_, err := RunCoverage(src, Null{}, Config{DeadTimes: hist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist.Total() == 0 {
-		t.Error("no dead times collected")
 	}
 }
 

@@ -96,25 +96,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// RenderCSV writes the table as CSV (simple quoting: cells containing
-// commas or quotes are quoted).
-func (t *Table) RenderCSV(w io.Writer) {
-	writeRow := func(cells []string) {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			out[i] = c
-		}
-		fmt.Fprintln(w, strings.Join(out, ","))
-	}
-	writeRow(t.headers)
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-}
-
 func pad(s string, n int) string {
 	if len(s) >= n {
 		return s

@@ -40,17 +40,6 @@ func TestTableRaggedRows(t *testing.T) {
 	}
 }
 
-func TestRenderCSV(t *testing.T) {
-	tab := NewTable("a", "b")
-	tab.AddRow("x,y", `q"z`)
-	var sb strings.Builder
-	tab.RenderCSV(&sb)
-	want := "a,b\n\"x,y\",\"q\"\"z\"\n"
-	if sb.String() != want {
-		t.Errorf("csv = %q want %q", sb.String(), want)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Pct(0.631) != "63.1%" {
 		t.Errorf("Pct = %q", Pct(0.631))

@@ -32,8 +32,7 @@ import (
 // bytes per reference, 4-6x below []Ref). WriteFile persists it —
 // chunk index in the file header — and OpenStore maps the file back
 // via mmap, so multi-GB recorded traces replay at decode bandwidth
-// without heap churn; Spill converts an in-memory store to the mapped
-// form in place. See DESIGN.md §10.
+// without heap churn. See DESIGN.md §10.
 
 // DefaultRefsPerChunk is the references-per-chunk Materialize uses: 16K
 // references encode to ~64-96KB, large enough that the per-chunk delta
@@ -152,17 +151,6 @@ func (m *Materialized) chunk(i int) []byte { return m.data[m.offs[i]:m.offs[i+1]
 // concurrently; each is single-goroutine like any Source.
 func (m *Materialized) Cursor() *Cursor { return &Cursor{m: m} }
 
-// CursorAt returns an independent cursor positioned at the start of chunk
-// i (reference i*RefsPerChunk) and reading through the end of the stream.
-// Every chunk is a delta-reset point, so decoding from any index entry is
-// exact; chunk == Chunks() yields an immediately-exhausted cursor.
-func (m *Materialized) CursorAt(chunk int) (*Cursor, error) {
-	if chunk < 0 || chunk > m.Chunks() {
-		return nil, fmt.Errorf("trace: CursorAt(%d): store has %d chunks", chunk, m.Chunks())
-	}
-	return &Cursor{m: m, chunk: chunk, start: chunk}, nil
-}
-
 // Cursors splits the store into n contiguous chunk ranges and returns one
 // bounded cursor per range: cursor i replays exactly its range's
 // references, and concatenating the outputs in order reproduces the whole
@@ -191,8 +179,8 @@ func (m *Materialized) Cursors(n int) []*Cursor {
 	return out
 }
 
-// Cursor replays a materialized trace, either whole (Cursor, CursorAt) or
-// bounded to a chunk range (Cursors). It implements Source; the replay
+// Cursor replays a materialized trace, either whole (Cursor) or bounded
+// to a chunk range (Cursors). It implements Source; the replay
 // loop performs no heap allocation.
 type Cursor struct {
 	m        *Materialized
@@ -209,18 +197,6 @@ type Cursor struct {
 // Reset rewinds the cursor to the start of its range (the start of the
 // stream for plain Cursor()s; range cursors keep their bounds).
 func (c *Cursor) Reset() { *c = Cursor{m: c.m, chunk: c.start, start: c.start, stop: c.stop} }
-
-// SeekChunk positions the cursor at the start of chunk i (reference
-// i*RefsPerChunk) — each chunk is a delta-reset point, so decoding can
-// start at any index entry. Seeking clears any range bound: the cursor
-// reads through the end of the stream.
-func (c *Cursor) SeekChunk(i int) error {
-	if i < 0 || i > c.m.Chunks() {
-		return fmt.Errorf("trace: SeekChunk(%d): store has %d chunks", i, c.m.Chunks())
-	}
-	*c = Cursor{m: c.m, chunk: i, start: i}
-	return nil
-}
 
 // Err returns nil after a clean end of stream, or the decode error that
 // terminated the cursor (possible only on stores opened from files).
@@ -571,32 +547,8 @@ func parseStore(raw []byte) (*Materialized, error) {
 	return m, nil
 }
 
-// Spill converts an in-memory store to the file-backed mapped form: the
-// store is written to path and its heap data replaced by the mapping, so
-// the encoded bytes can be reclaimed by the collector. Replay output is
-// unchanged (chunks are byte-identical). Spill must not run concurrently
-// with cursor reads; cursors created before the spill remain valid (they
-// keep reading the heap copy they hold until their next chunk load). A
-// store that is already file-backed only writes the copy and keeps
-// serving from its existing mapping — swapping would unmap pages those
-// earlier cursors still alias.
-func (m *Materialized) Spill(path string) error {
-	if err := m.WriteFile(path); err != nil {
-		return err
-	}
-	if m.mapped != nil {
-		return nil
-	}
-	o, err := OpenStore(path)
-	if err != nil {
-		return err
-	}
-	m.data, m.offs, m.mapped, m.f = o.data, o.offs, o.mapped, o.f
-	return nil
-}
-
-// Close releases the file mapping of a store opened with OpenStore (or
-// spilled). It is a no-op for in-memory stores. The store and any of its
+// Close releases the file mapping of a store opened with OpenStore. It is
+// a no-op for in-memory stores. The store and any of its
 // cursors must not be used afterwards.
 func (m *Materialized) Close() error {
 	if m.mapped == nil {

@@ -125,48 +125,16 @@ func TestCursorResetAndSeek(t *testing.T) {
 	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, refs) {
 		t.Fatal("Reset replay diverged")
 	}
-	if err := c.SeekChunk(3); err != nil {
-		t.Fatal(err)
-	}
-	if tail := Collect(c, 0); !reflect.DeepEqual(tail, refs[300:]) {
-		t.Fatal("SeekChunk(3) did not resume at ref 300")
-	}
-	if err := c.SeekChunk(m.Chunks() + 1); err == nil {
-		t.Error("SeekChunk past the index must error")
-	}
 }
 
 // TestCursorAtChunkBoundaries pins chunk-range replay across delta-reset
-// points: a cursor positioned at any chunk boundary decodes exactly the
-// stream tail (the per-chunk delta reset makes every boundary an exact
-// entry point), Cursors(n) ranges partition the stream with no overlap or
-// gap at any n, and range cursors stop at — never read past — their bound.
+// points: Cursors(n) ranges partition the stream with no overlap or gap at
+// any n (the per-chunk delta reset makes every boundary an exact entry
+// point), and range cursors stop at — never read past — their bound.
 func TestCursorAtChunkBoundaries(t *testing.T) {
 	const perChunk = 64
 	refs := randRefs(21, 10*perChunk+17) // last chunk deliberately partial
 	m := MaterializeChunked(NewSliceSource(refs), perChunk)
-
-	// Every boundary, including the terminal one (empty tail).
-	for chunk := 0; chunk <= m.Chunks(); chunk++ {
-		c, err := m.CursorAt(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo := chunk * perChunk
-		if lo > len(refs) {
-			lo = len(refs)
-		}
-		if got := replayAll(t, c); !reflect.DeepEqual(got, append([]Ref(nil), refs[lo:]...)) {
-			t.Fatalf("CursorAt(%d): replay diverged from refs[%d:] (%d vs %d refs)",
-				chunk, lo, len(got), len(refs)-lo)
-		}
-	}
-	if _, err := m.CursorAt(-1); err == nil {
-		t.Error("CursorAt(-1) must error")
-	}
-	if _, err := m.CursorAt(m.Chunks() + 1); err == nil {
-		t.Error("CursorAt past the index must error")
-	}
 
 	// Cursors(n) partitions: concatenated ranges reproduce the stream for
 	// n below, at, and beyond the chunk count.
@@ -234,48 +202,6 @@ func TestStoreFileRoundTrip(t *testing.T) {
 	}
 	if got := replayAll(t, o.Cursor()); !reflect.DeepEqual(got, refs) {
 		t.Fatal("file-backed replay diverged")
-	}
-}
-
-func TestSpill(t *testing.T) {
-	refs := randRefs(23, 3000)
-	m := MaterializeChunked(NewSliceSource(refs), 256)
-	if m.Mapped() {
-		t.Fatal("fresh store should be in-memory")
-	}
-	dir := t.TempDir()
-	mid := m.Cursor()
-	midWant := Collect(m.Cursor(), 0) // reference replay before the spill
-	if err := m.Spill(filepath.Join(dir, "spill.ltcx")); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if !m.Mapped() {
-		t.Fatal("spilled store should be mapped")
-	}
-	if got := replayAll(t, m.Cursor()); !reflect.DeepEqual(got, refs) {
-		t.Fatal("post-spill replay diverged")
-	}
-	// A cursor created before the spill stays valid.
-	if got := Collect(mid, 0); !reflect.DeepEqual(got, midWant) {
-		t.Fatal("pre-spill cursor diverged after spill")
-	}
-	// A second spill of the now file-backed store writes the copy but
-	// keeps serving from the existing mapping (no unmap under cursors).
-	pre := m.Cursor()
-	if err := m.Spill(filepath.Join(dir, "copy.ltcx")); err != nil {
-		t.Fatal(err)
-	}
-	if got := Collect(pre, 0); !reflect.DeepEqual(got, refs) {
-		t.Fatal("cursor created before second spill diverged")
-	}
-	o, err := OpenStore(filepath.Join(dir, "copy.ltcx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if got := Collect(o.Cursor(), 0); !reflect.DeepEqual(got, refs) {
-		t.Fatal("second spill copy diverged")
 	}
 }
 
@@ -355,7 +281,7 @@ func TestCursorReplayAllocs(t *testing.T) {
 
 // FuzzMaterializeRoundTrip: arbitrary streams (including extended-ctx
 // records) must replay bit-identically through in-memory cursors, across
-// chunk boundaries, and after spill-to-file.
+// chunk boundaries, and from the file written and mapped back.
 func FuzzMaterializeRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(7))
 	f.Add(int64(42), uint16(1), uint8(1))
@@ -374,11 +300,15 @@ func FuzzMaterializeRoundTrip(f *testing.F) {
 			}
 		}
 		path := filepath.Join(t.TempDir(), "fuzz.ltcx")
-		if err := m.Spill(path); err != nil {
+		if err := m.WriteFile(path); err != nil {
 			t.Fatal(err)
 		}
-		defer m.Close()
-		got = Collect(m.Cursor(), 0)
+		mapped, err := OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		got = Collect(mapped.Cursor(), 0)
 		if len(got) != len(refs) {
 			t.Fatalf("mapped replay yielded %d refs want %d", len(got), len(refs))
 		}

@@ -346,9 +346,9 @@ func (s *Stats) Observe(r Ref) {
 }
 
 // BatchLanes are the caller-owned parallel lanes a reference batch splits
-// into before entering the batch cache API (cache.AccessBatch and
-// friends): addresses, write flags, and the per-reference instruction
-// clock. Fill implements the one clock rule every driver shares — the
+// into before entering the cache (cache.AccessBatchHits, or one Access
+// per reference): addresses, write flags, and the per-reference
+// instruction clock. Fill implements the one clock rule every driver shares — the
 // clock advances by Gap+1 per reference (DESIGN.md §7/§9) — so drivers do
 // not each hand-roll the prep loop. The lanes are reused across Fill
 // calls; steady-state batch pumping allocates nothing.

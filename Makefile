@@ -52,19 +52,19 @@ bench-check:
 warm-check:
 	$(GO) run ./cmd/gatecheck warm
 
-# Daemon gate: end-to-end smoke over the real ltexpd binary — upload a
-# trace, run a job, diff the /report bytes against a local ltexp run, and
-# prove a resubmission executes zero simulations on the shared scheduler
+# Daemon gate: end-to-end smoke over the real ltexpd binary — run a job,
+# diff the /report bytes against a local ltexp run, and prove a
+# resubmission executes zero simulations on the shared scheduler
 # (DESIGN.md §14).
 serve-check:
 	$(GO) run ./cmd/gatecheck serve
 
 # Fault-injection gate: experiment runs under scripted disk-fault
 # schedules (ENOSPC, EIO, torn writes, rename/fsync failures, dead disk)
-# must stay byte-identical to a no-cache reference, a kill -9 mid-write
-# must leave a self-repairing store, and an in-process daemon must serve
-# jobs (degraded, then recovered) over a fully dead cache dir
-# (DESIGN.md §15).
+# and over a bit-rotted cached trace store must stay byte-identical to a
+# no-cache reference, a kill -9 mid-write must leave a self-repairing
+# store, and an in-process daemon must serve jobs (degraded, then
+# recovered) over a fully dead cache dir (DESIGN.md §15).
 fault-check:
 	$(GO) run ./cmd/gatecheck fault
 

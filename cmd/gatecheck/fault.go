@@ -32,6 +32,9 @@ func faultSpec(seed uint64) exp.JobSpec {
 //   - Under every scripted fault schedule an experiment run completes
 //     with report bytes identical to a no-cache reference, and a clean
 //     reopen of the same directory afterwards serves no corrupt entry.
+//   - Bit rot inside a cached trace store, which still parses, is caught
+//     by the store's address check: the run regenerates the trace and
+//     stays byte-identical.
 //   - A writer kill -9'd mid-burst leaves a store that reopens cleanly:
 //     every readable entry holds exactly the bytes put under its key, and
 //     a tampered entry is rejected and repaired in place.
@@ -43,6 +46,7 @@ func faultGate() {
 	ref, _ := runLocal(faultSpec(1), nil)
 	logf("reference report: %d bytes", len(ref))
 	scheduleChecks(ref)
+	bitRotCheck(ref)
 	crashCheck()
 	daemonCheck(ref)
 }
@@ -103,6 +107,48 @@ func scheduleChecks(ref string) {
 	}
 }
 
+// bitRotCheck fills a fresh cache with table2 on swim, flips the low bit
+// of 64 consecutive bytes two-thirds into the swim trace store, and runs
+// the fault job over that cache. The damaged store still parses, so only
+// its address check can reject it: the report must equal the reference,
+// and the cache must count exactly one bad entry.
+func bitRotCheck(ref string) {
+	root := tempDir("bitrot")
+	open := func() *cachedir.Dir {
+		cdir, err := cachedir.Open(root, cachedir.Options{Mode: cachedir.ReadWrite, Version: exp.CacheVersion})
+		if err != nil {
+			fail(fmt.Errorf("bit rot: open cache: %w", err))
+		}
+		return cdir
+	}
+	fill := faultSpec(1)
+	fill.Experiments = []string{"table2"}
+	runLocal(fill, open())
+	stores := entries(root, "traces", ".ltcx")
+	if len(stores) != 1 {
+		fail(fmt.Errorf("bit rot: table2 on swim left %d trace stores, want 1", len(stores)))
+	}
+	raw, err := os.ReadFile(stores[0])
+	if err != nil {
+		fail(err)
+	}
+	start := 2 * len(raw) / 3
+	for i := start; i < start+64; i++ {
+		raw[i] ^= 1
+	}
+	if err := os.WriteFile(stores[0], raw, 0o666); err != nil {
+		fail(err)
+	}
+	cdir := open()
+	if out, _ := runLocal(faultSpec(1), cdir); out != ref {
+		fail(fmt.Errorf("bit rot: report over a damaged trace store differs from reference"))
+	}
+	if c := cdir.Counters(); c.BadEntries != 1 {
+		fail(fmt.Errorf("bit rot: %d bad entries counted, want 1: %+v", c.BadEntries, c))
+	}
+	logf("bit rot: 64 flipped bytes at offset %d of a %d-byte trace store rejected; report byte-identical", start, len(raw))
+}
+
 // crashChildEnv carries the crash-test cache directory into the
 // re-executed writer child; its presence selects the child role.
 const crashChildEnv = "GATECHECK_CRASH_DIR"
@@ -145,7 +191,7 @@ func crashCheck() {
 	}
 	atExit(func() { child.Process.Kill(); child.Wait() })
 	// Let the burst land some entries, then kill without warning.
-	for deadline := time.Now().Add(10 * time.Second); len(entries(root)) < 5; time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); len(entries(root, "results", ".ltre")) < 5; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			fail(fmt.Errorf("crash child wrote <5 entries in 10s"))
 		}
@@ -182,7 +228,7 @@ func crashCheck() {
 		fail(fmt.Errorf("tamper setup put failed"))
 	}
 	tampered := 0
-	for _, path := range entries(root) {
+	for _, path := range entries(root, "results", ".ltre") {
 		if raw, err := os.ReadFile(path); err == nil && bytes.Contains(raw, tamper[:32]) {
 			if err := os.WriteFile(path, []byte("LTRE\x01 torn garbage, not a checksummed payload"), 0o666); err != nil {
 				fail(err)
@@ -208,11 +254,12 @@ func crashCheck() {
 	logf("crash: %d entries survived kill -9, all byte-exact; tampered entry rejected and repaired", hits)
 }
 
-// entries lists the entry files in the results tier.
-func entries(root string) []string {
+// entries lists the files with extension ext in one tier of the cache at
+// root.
+func entries(root, tier, ext string) []string {
 	var paths []string
-	filepath.WalkDir(filepath.Join(root, "results"), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".ltre") {
+	filepath.WalkDir(filepath.Join(root, tier), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ext) {
 			paths = append(paths, path)
 		}
 		return nil

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,16 +10,13 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // serveGate is an end-to-end smoke over the real ltexpd and ltexp
 // binaries and real HTTP (DESIGN.md §14). It builds both, starts the
-// daemon on a fresh cache directory, uploads a trace twice (the second
-// upload must dedup), runs a job whose report must equal a local ltexp
-// run byte for byte, resubmits it (the rerun must execute zero
-// simulations on the shared scheduler), and stops the daemon with
+// daemon on a fresh cache directory, runs a job whose report must equal
+// a local ltexp run byte for byte, resubmits it (the rerun must execute
+// zero simulations on the shared scheduler), and stops the daemon with
 // SIGTERM, which must exit cleanly.
 func serveGate() {
 	// Real binaries: the smoke covers the daemon's own wiring (flag
@@ -50,7 +46,6 @@ func serveGate() {
 	if h := c.health(); h.Status != "ok" || h.Version == "" || h.CacheVersion == "" {
 		fail(fmt.Errorf("healthz = %+v", h))
 	}
-	checkTraceUpload(c)
 
 	spec := exp.JobSpec{Experiments: []string{"fig11"}, Scale: "small"}
 	report := c.report(spec)
@@ -108,31 +103,4 @@ func waitReady(c client) {
 		}
 	}
 	fail(fmt.Errorf("daemon never became ready at %s", c.base))
-}
-
-// checkTraceUpload uploads an LTCX store twice: 201 then a deduplicated
-// 200, both naming the same content digest.
-func checkTraceUpload(c client) {
-	refs := make([]trace.Ref, 5000)
-	for i := range refs {
-		refs[i] = trace.Ref{PC: mem.Addr(0x1000 + 4*i), Addr: mem.Addr(0x80000 + 64*i), Gap: 1}
-	}
-	var buf bytes.Buffer
-	if _, err := trace.Materialize(trace.NewSliceSource(refs)).WriteTo(&buf); err != nil {
-		fail(err)
-	}
-	post := func() (int, string) {
-		code, body := c.do(http.MethodPost, "/v1/traces", buf.Bytes())
-		var out struct {
-			Digest string `json:"digest"`
-		}
-		mustJSON(body, &out)
-		return code, out.Digest
-	}
-	code1, digest1 := post()
-	code2, digest2 := post()
-	if code1 != http.StatusCreated || code2 != http.StatusOK || digest1 == "" || digest1 != digest2 {
-		fail(fmt.Errorf("trace upload: first %d/%s, second %d/%s (want 201 then deduped 200, same digest)", code1, digest1, code2, digest2))
-	}
-	logf("trace upload + dedup OK (%.12s, %d bytes)", digest1, buf.Len())
 }

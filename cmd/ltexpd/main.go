@@ -18,7 +18,6 @@
 //	curl -N localhost:8080/v1/jobs/<id>/events  # SSE progress stream
 //	curl localhost:8080/v1/jobs/<id>/report     # byte-identical to ltexp
 //	curl -X DELETE localhost:8080/v1/jobs/<id>  # cancel (queued cells abort)
-//	curl -X POST --data-binary @t.ltcx localhost:8080/v1/traces
 //	curl localhost:8080/v1/stats
 //
 // SIGINT/SIGTERM drain gracefully: readiness flips to 503, live jobs are
@@ -51,7 +50,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		parallel = flag.Int("parallel", 0, "simulation cell workers (0 = GOMAXPROCS)")
 		maxJobs  = flag.Int("max-jobs", 2, "jobs allowed to run concurrently (others queue)")
-		cacheDir = flag.String("cache-dir", "", "persistent cell/trace cache directory (empty = in-memory only; trace uploads refused)")
+		cacheDir = flag.String("cache-dir", "", "persistent cell/trace cache directory (empty = in-memory only)")
 		cacheMod = flag.String("cache", "rw", "persistent cache mode: off|ro|rw")
 		cacheCap = flag.String("cache-cap", "0", "persistent cache size cap, e.g. 2G (0 = unlimited, LRU eviction)")
 		apiKey   = flag.String("api-key", "", "require this API key on /v1 (repeatable via -api-key-file; empty = open)")
@@ -59,8 +58,7 @@ func main() {
 		rate     = flag.Float64("rate", 0, "global request rate limit per second (0 = unlimited)")
 		burst    = flag.Float64("burst", 0, "rate limiter burst (default 2×rate)")
 		drainFor = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for live jobs to resolve")
-		maxTrace = flag.String("max-trace-bytes", "4G", "largest accepted POST /v1/traces body, e.g. 512M (0 = unlimited; oversized uploads get 413)")
-		readTO   = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout; SSE and trace-upload routes lift it per-connection")
+		readTO   = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout; the SSE route lifts it per-connection")
 		idleTO   = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
 	)
 	showVersion := buildinfo.VersionFlag("ltexpd")
@@ -80,17 +78,10 @@ func main() {
 	if err != nil {
 		// An unusable cache directory is not fatal: the cache is an
 		// accelerator, never a dependency (DESIGN.md §15). Serve
-		// memory-only (trace uploads refused, /healthz reports cache
-		// "none") rather than refusing to start.
+		// memory-only (/healthz reports cache "none") rather than
+		// refusing to start.
 		logger.Printf("cache-dir %s unusable (%v); serving memory-only", *cacheDir, err)
 		cdir = nil
-	}
-	maxTraceBytes, err := cachedir.ParseSize(*maxTrace)
-	if err != nil {
-		logger.Fatal(err)
-	}
-	if maxTraceBytes == 0 {
-		maxTraceBytes = -1 // flag "0" means unlimited; Config 0 means default
 	}
 	keys, err := loadKeys(*apiKey, *keyFile)
 	if err != nil {
@@ -112,7 +103,6 @@ func main() {
 		APIKeys:       keys,
 		RatePerSec:    *rate,
 		Burst:         *burst,
-		MaxTraceBytes: maxTraceBytes,
 		Logger:        logger,
 	})
 
@@ -120,9 +110,9 @@ func main() {
 		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
-		// ReadTimeout bounds slow-loris request bodies; the SSE and
-		// trace-upload handlers lift it per-connection via
-		// http.ResponseController, so long streams stay legal.
+		// ReadTimeout bounds slow-loris request bodies; the SSE handler
+		// lifts it per-connection via http.ResponseController, so long
+		// streams stay legal.
 		ReadTimeout: *readTO,
 		IdleTimeout: *idleTO,
 	}

@@ -6,8 +6,8 @@
 //	ltsim -bench mcf -pred lt-cords            # coverage run
 //	ltsim -bench swim -pred ghb -timing        # timing run (IPC, traffic)
 //	ltsim -bench art -pred dbcp -timing -l2 4  # with a 4MB L2
-//	ltsim -trace mix.ltct -contexts 4          # sharded multi-context coverage
-//	ltsim -trace mix.ltct -contexts 4 -workers 4 -sharedpred=false
+//	ltsim -trace mix.ltcx -contexts 4          # sharded multi-context coverage
+//	ltsim -trace mix.ltcx -contexts 4 -workers 4 -sharedpred=false
 //	ltsim -list                                # list benchmarks
 //
 // -contexts N routes a multi-context trace (context-tagged references,
@@ -16,6 +16,11 @@
 // predictor state partitioned per context or (-sharedpred) shared across
 // the mix. -workers parallelizes partitioned shards; results are
 // byte-identical at any worker count.
+//
+// -trace replays an LTCX store (lttrace -out) through an mmap-backed
+// cursor. A run that stops on a malformed record, or simulates a
+// different number of references than the store's header records,
+// exits 1 without printing results.
 //
 // -cache-dir points at the persistent trace cache shared with ltexp
 // (DESIGN.md §12): preset streams materialize once per machine into
@@ -75,7 +80,7 @@ func main() {
 func run() int {
 	var (
 		bench    = flag.String("bench", "mcf", "benchmark preset name")
-		traceIn  = flag.String("trace", "", "binary trace file to simulate instead of a preset (see lttrace)")
+		traceIn  = flag.String("trace", "", "LTCX trace store to simulate instead of a preset (see lttrace)")
 		pred     = flag.String("pred", "lt-cords", "predictor: none|lt-cords|dbcp|dbcp-unlimited|ghb|stride")
 		scale    = flag.String("scale", "small", "workload scale: small|medium|large")
 		seed     = flag.Uint64("seed", 1, "workload seed")
@@ -137,22 +142,22 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "ltsim:", err)
 		return 2
 	}
-	var src trace.Source
-	var p workload.Preset
+	var (
+		src   trace.Source
+		store *trace.Materialized // the -trace file, checked after the run
+		cur   *trace.Cursor
+		p     workload.Preset
+	)
 	sc := workload.Small
 	if *traceIn != "" {
-		f, err := os.Open(*traceIn)
+		m, err := trace.OpenStore(*traceIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ltsim:", err)
 			return 1
 		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ltsim:", err)
-			return 1
-		}
-		src = r
+		defer m.Close()
+		store, cur = m, m.Cursor()
+		src = cur
 		p.Name = *traceIn
 	} else {
 		var ok bool
@@ -201,6 +206,10 @@ func run() int {
 			return 1
 		}
 		r := e.Run(src, pf)
+		if err := checkReplay(store, cur, r.Refs); err != nil {
+			fmt.Fprintln(os.Stderr, "ltsim:", err)
+			return 1
+		}
 		fmt.Printf("benchmark:      %s (%s scale, seed %d)\n", p.Name, sc, *seed)
 		fmt.Printf("predictor:      %s\n", r.Predictor)
 		fmt.Printf("instructions:   %d\n", r.Instrs)
@@ -228,6 +237,9 @@ func run() int {
 			}
 			return p
 		}, sim.Config{WithL2: *withL2, Contexts: *ctxs, SharedState: *shpred, Workers: *workers})
+		if err == nil {
+			err = checkReplay(store, cur, sc.Refs)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ltsim:", err)
 			return 1
@@ -247,6 +259,9 @@ func run() int {
 
 	cfg := sim.Config{WithL2: *withL2}
 	cov, err := sim.RunCoverage(src, pf, cfg)
+	if err == nil {
+		err = checkReplay(store, cur, cov.Refs)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltsim:", err)
 		return 1
@@ -272,4 +287,21 @@ func run() int {
 			lt.OnChipBytes()/1024, (st.SeqWriteBytes+st.ConfWriteBytes)/1024, st.SeqFetchBytes/1024)
 	}
 	return 0
+}
+
+// checkReplay reports whether a run read the whole store it was given:
+// a cursor stopped by a malformed record, or a reference count that
+// differs from the one in the store's header, means the results describe
+// some other stream. A nil store (a preset source) always passes.
+func checkReplay(store *trace.Materialized, cur *trace.Cursor, refs uint64) error {
+	if store == nil {
+		return nil
+	}
+	if err := cur.Err(); err != nil {
+		return err
+	}
+	if refs != store.Refs() {
+		return fmt.Errorf("simulated %d refs, but the store holds %d", refs, store.Refs())
+	}
+	return nil
 }

@@ -1,37 +1,29 @@
-// Command lttrace generates, inspects and converts binary reference traces
-// (the LTCT stream format and the indexed LTCX store format of
-// internal/trace).
+// Command lttrace generates and inspects binary reference traces in the
+// indexed LTCX store format of internal/trace, the repository's one trace
+// file format (DESIGN.md §10).
 //
 // Usage:
 //
-//	lttrace -bench mcf -scale small -out mcf.ltct           # generate (stream)
-//	lttrace -bench mcf -record -out mcf.ltcx                # generate (indexed store)
-//	lttrace -in mcf.ltct -stats                             # summarize a stream
-//	lttrace -in mcf.ltcx -replay -stats                     # mmap + replay a store
-//	lttrace -in mcf.ltcx -verify -workers 8                 # parallel integrity check
-//	lttrace -in mcf.ltct -head 20                           # dump first records
+//	lttrace -bench mcf -scale small -out mcf.ltcx   # generate a store
+//	lttrace -in mcf.ltcx                            # replay and summarize
+//	lttrace -in mcf.ltcx -head 20                   # dump the first records
 //
-// A recorded store carries the chunk index in its file header (each chunk
-// a delta-reset point), so -replay maps the file and streams it through a
-// zero-alloc cursor at decode bandwidth — multi-GB traces replay without
-// heap churn. -verify exploits the same per-chunk delta resets for
-// chunk-granular parallel replay: -workers goroutines each decode a
-// contiguous chunk range through an independent range cursor, fold the
-// order-insensitive stream statistics, and the merged result must equal
-// the encode-time stats in the header.
-//
-// -record writes are crash-safe: the store is staged in a temp file,
+// -out writes are crash-safe: the store is staged in a temp file,
 // fsynced, and atomically renamed over -out (internal/atomicfile), so an
 // interrupted run leaves either the complete old file or the complete
 // new one — never a torn store. The persistent experiment cache
 // (DESIGN.md §12) relies on the same path for its traces tier.
+//
+// -in maps the store and replays it through one zero-alloc cursor. Every
+// read checks the whole file: a record that does not decode fails the
+// run, and so do replayed stream statistics that differ from the ones
+// recorded in the store's header.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/buildinfo"
 	"repro/internal/trace"
@@ -45,43 +37,19 @@ func fail(err error) {
 
 func main() {
 	var (
-		bench  = flag.String("bench", "", "benchmark preset to generate")
-		scale  = flag.String("scale", "small", "workload scale")
-		seed   = flag.Uint64("seed", 1, "workload seed")
-		out    = flag.String("out", "", "output trace file")
-		in     = flag.String("in", "", "input trace file")
-		stats  = flag.Bool("stats", false, "print stream statistics")
-		head   = flag.Int("head", 0, "dump the first N records")
-		record = flag.Bool("record", false, "write the indexed store format (LTCX) instead of the record stream")
-		replay = flag.Bool("replay", false, "treat -in as an indexed store: mmap it and replay through a cursor")
-		chunk  = flag.Int("chunk", 0, "refs per chunk when recording (0 = default)")
-		verify = flag.Bool("verify", false, "treat -in as an indexed store: recompute stream stats chunk-parallel and check them against the header")
-		nwork  = flag.Int("workers", 0, "worker goroutines for -verify (0 = GOMAXPROCS)")
+		bench = flag.String("bench", "", "benchmark preset to generate")
+		scale = flag.String("scale", "small", "workload scale")
+		seed  = flag.Uint64("seed", 1, "workload seed")
+		out   = flag.String("out", "", "output trace store")
+		in    = flag.String("in", "", "input trace store")
+		stats = flag.Bool("stats", false, "print stream statistics")
+		head  = flag.Int("head", 0, "dump the first N records")
 	)
 	showVersion := buildinfo.VersionFlag("lttrace")
 	flag.Parse()
 	showVersion()
 
 	switch {
-	case *verify && *in != "":
-		m, err := trace.OpenStore(*in)
-		if err != nil {
-			fail(err)
-		}
-		defer m.Close()
-		w := *nwork
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		st, err := m.ReplayStats(w)
-		if err != nil {
-			fail(err)
-		}
-		if st != m.Stats() {
-			fail(fmt.Errorf("%s: replayed stats %+v differ from header %+v (corrupt store?)", *in, st, m.Stats()))
-		}
-		fmt.Printf("verified %s: %d refs across %d chunks (%d workers); replayed stats match the header\n",
-			*in, m.Refs(), m.Chunks(), w)
 	case *bench != "" && *out != "":
 		p, ok := workload.ByName(*bench)
 		if !ok {
@@ -91,90 +59,42 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		src := p.Source(sc, *seed)
-		if *record {
-			m := trace.MaterializeChunked(src, *chunk)
-			if err := m.WriteFile(*out); err != nil {
-				fail(err)
-			}
-			fi, err := os.Stat(*out)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("recorded %d refs to %s (%d bytes, %.2f bytes/ref, %d chunks x %d refs)\n",
-				m.Refs(), *out, fi.Size(), float64(m.Bytes())/float64(max(m.Refs(), 1)),
-				m.Chunks(), m.RefsPerChunk())
-			return
+		m := trace.Materialize(p.Source(sc, *seed))
+		if err := m.WriteFile(*out); err != nil {
+			fail(err)
 		}
-		f, err := os.Create(*out)
+		fi, err := os.Stat(*out)
 		if err != nil {
 			fail(err)
 		}
-		defer f.Close()
-		w, err := trace.NewWriter(f)
-		if err != nil {
-			fail(err)
-		}
-		buf := make([]trace.Ref, trace.DefaultBatch)
-		for {
-			n := src.ReadRefs(buf)
-			if n == 0 {
-				break
-			}
-			if err := w.WriteRefs(buf[:n]); err != nil {
-				fail(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			fail(err)
-		}
-		fi, _ := f.Stat()
-		fmt.Printf("wrote %d refs to %s (%d bytes, %.2f bytes/ref)\n",
-			w.Count(), *out, fi.Size(), float64(fi.Size())/float64(w.Count()))
+		fmt.Printf("wrote %d refs to %s (%d bytes, %.2f bytes/ref, %d chunks x %d refs)\n",
+			m.Refs(), *out, fi.Size(), float64(m.Bytes())/float64(max(m.Refs(), 1)),
+			m.Chunks(), m.RefsPerChunk())
 
 	case *in != "":
-		var (
-			src     trace.Source
-			errFn   func() error
-			cleanup func()
-		)
-		if *replay {
-			m, err := trace.OpenStore(*in)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("store: %d refs, %d chunks x %d refs, %d data bytes, mapped=%v\n",
-				m.Refs(), m.Chunks(), m.RefsPerChunk(), m.Bytes(), m.Mapped())
-			c := m.Cursor()
-			src, errFn = c, c.Err
-			cleanup = func() { m.Close() }
-		} else {
-			f, err := os.Open(*in)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			r, err := trace.NewReader(f)
-			if err != nil {
-				fail(err)
-			}
-			src, errFn = r, r.Err
+		m, err := trace.OpenStore(*in)
+		if err != nil {
+			fail(err)
 		}
+		defer m.Close()
+		fmt.Printf("store: %d refs, %d chunks x %d refs, %d data bytes, mapped=%v\n",
+			m.Refs(), m.Chunks(), m.RefsPerChunk(), m.Bytes(), m.Mapped())
+		c := m.Cursor()
 		var st trace.Stats
 		n := 0
-		trace.ForEach(src, func(ref trace.Ref) {
+		trace.ForEach(c, func(ref trace.Ref) {
 			st.Observe(ref)
-			if *head > 0 && n < *head {
+			if n < *head {
 				fmt.Printf("%8d pc=%#x addr=%#x %s gap=%d dep=%v ctx=%d\n",
 					n, uint64(ref.PC), uint64(ref.Addr), ref.Kind, ref.Gap, ref.Dep, ref.Ctx)
 			}
 			n++
 		})
-		if err := errFn(); err != nil {
-			fail(err)
+		if err := c.Err(); err != nil {
+			fail(fmt.Errorf("%s: %w", *in, err))
 		}
-		if cleanup != nil {
-			cleanup()
+		if st != m.Stats() {
+			fail(fmt.Errorf("%s: replayed stats %+v differ from header %+v (corrupt store?)", *in, st, m.Stats()))
 		}
 		if *stats || *head == 0 {
 			fmt.Printf("refs=%d loads=%d stores=%d instrs=%d deps=%d\n",
@@ -182,7 +102,7 @@ func main() {
 		}
 
 	default:
-		fmt.Fprintln(os.Stderr, "lttrace: need either -bench+-out (generate; -record for the indexed store) or -in (inspect; -replay for stores)")
+		fmt.Fprintln(os.Stderr, "lttrace: need either -bench+-out (generate a store) or -in (replay one)")
 		os.Exit(2)
 	}
 }

@@ -3,7 +3,7 @@
 // fsynced, and is renamed over the target in one atomic step. A reader
 // (or a process that crashes mid-write) therefore sees either the old
 // file or the complete new one — never a truncated hybrid. The trace
-// store (lttrace -record) and the persistent result cache both
+// store (lttrace -out) and the persistent result cache both
 // depend on this: a cache open trusts what it finds on disk, so a
 // torn write must be impossible rather than merely unlikely.
 //

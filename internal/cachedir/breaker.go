@@ -17,9 +17,8 @@ import (
 //
 // There is no separate half-open state to get stuck in: allowWrite
 // claims the probe slot by advancing the retry deadline, so a probe
-// that dies without reporting (for example an ingest whose upload
-// stream failed before the disk was touched) merely delays the next
-// probe by one window.
+// that dies without reporting merely delays the next probe by one
+// window.
 type breaker struct {
 	threshold int           // consecutive failures that trip it
 	cooldown  time.Duration // delay between probes while open

@@ -11,7 +11,8 @@
 //     equal addresses imply equal results.
 //   - traces/ — materialized trace stores (the LTCX container of
 //     internal/trace), addressed by the sha256 of their own serialized
-//     bytes. Identical streams reached through different cell keys
+//     bytes and re-hashed against that address whenever one is opened.
+//     Identical streams reached through different cell keys
 //     deduplicate to one file, and replay is mmap-backed: a preset is
 //     generated once per machine, ever.
 //
@@ -45,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -328,15 +328,6 @@ func (d *Dir) ioOK(write bool) {
 	d.brk.success(write)
 }
 
-// isDiskErr reports whether err came from the filesystem (a PathError
-// or LinkError) rather than from a caller-supplied reader — IngestTrace
-// copies from an HTTP body whose failures must not trip the breaker.
-func isDiskErr(err error) bool {
-	var pe *fs.PathError
-	var le *os.LinkError
-	return errors.As(err, &pe) || errors.As(err, &le)
-}
-
 // addr computes the content address of a cell key: sha256 over the
 // address schema tag, the code-version stamp and the key. Hex-encoded,
 // so it is also a safe file name.
@@ -447,9 +438,6 @@ func decodeEntry(raw []byte) ([]byte, bool) {
 
 // ErrDegraded marks write refusals from an open breaker: the disk is
 // known-bad and the Dir is running memory-only until a probe recovers.
-// Callers that surface cache errors (the trace-upload endpoint) match
-// it with errors.Is to report "temporarily unavailable" rather than
-// "bad request".
 var ErrDegraded = errors.New("cachedir: degraded (writes suspended until re-probe)")
 
 // AddTrace persists a materialized trace store under the sha256 of its
@@ -465,11 +453,7 @@ func (d *Dir) AddTrace(m *trace.Materialized) (string, error) {
 	if d == nil {
 		return "", fmt.Errorf("cachedir: cache disabled")
 	}
-	h := sha256.New()
-	if _, err := m.WriteTo(h); err != nil {
-		return "", err
-	}
-	digest := hex.EncodeToString(h.Sum(nil))
+	digest := traceDigest(m)
 	path := d.tracePath(digest)
 	if _, err := d.fsys.Stat(path); err == nil {
 		d.touch(path)
@@ -501,89 +485,22 @@ func (d *Dir) AddTrace(m *trace.Materialized) (string, error) {
 	return digest, nil
 }
 
-// IngestTrace streams a serialized LTCX store (the bytes Materialized.
-// WriteTo emits — e.g. an ltexpd trace-upload request body) into the
-// traces tier. The content address is the sha256 of the streamed bytes,
-// computed while they spill to a staging file in the destination
-// directory; once the digest is known, an already-present entry wins
-// (dup=true, the staged copy is discarded — re-uploads are free) and a
-// new one is validated as a parseable store, fsynced and atomically
-// renamed into place, exactly the crash-safety contract of AddTrace.
-// A stream that is not a structurally valid store is rejected without
-// touching the tier. ReadOnly, disabled and degraded caches refuse
-// ingestion.
-func (d *Dir) IngestTrace(r io.Reader) (digest string, size int64, dup bool, err error) {
-	if d == nil || d.mode != ReadWrite {
-		return "", 0, false, fmt.Errorf("cachedir: trace ingestion needs a read-write cache")
-	}
-	if !d.brk.allowWrite() {
-		return "", 0, false, ErrDegraded
-	}
-	dir := filepath.Join(d.root, tracesSub)
-	if err := d.fsys.MkdirAll(dir, 0o777); err != nil {
-		d.ioFailure(err)
-		return "", 0, false, err
-	}
-	tmp, err := d.fsys.CreateTemp(dir, "ingest*.tmp")
-	if err != nil {
-		d.ioFailure(err)
-		return "", 0, false, err
-	}
-	defer func() {
-		tmp.Close()
-		d.fsys.Remove(tmp.Name()) // no-op once renamed
-	}()
+// traceDigest is a store's content address: the hex sha256 of its
+// serialized bytes.
+func traceDigest(m *trace.Materialized) string {
 	h := sha256.New()
-	size, err = io.Copy(io.MultiWriter(tmp, h), r)
-	if err != nil {
-		if isDiskErr(err) {
-			d.ioFailure(err) // spool fault, not an uploader fault
-		}
-		return "", 0, false, err
-	}
-	digest = hex.EncodeToString(h.Sum(nil))
-	path := d.tracePath(digest)
-	if _, err := d.fsys.Stat(path); err == nil {
-		// Content-addressed dedup: the bytes are already here.
-		d.touch(path)
-		d.traceHits.Add(1)
-		return digest, size, true, nil
-	}
-	if err := tmp.Sync(); err != nil {
-		d.ioFailure(err)
-		return "", 0, false, err
-	}
-	// Validate before publishing: only parseable stores enter the tier
-	// (a later OpenTrace would treat anything else as poison and delete
-	// it; rejecting now gives the uploader the error instead).
-	m, err := trace.OpenStore(tmp.Name())
-	if err != nil {
-		return "", 0, false, fmt.Errorf("cachedir: not a valid trace store: %w", err)
-	}
-	m.Close()
-	if err := d.fsys.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-		d.ioFailure(err)
-		return "", 0, false, err
-	}
-	if err := d.fsys.Rename(tmp.Name(), path); err != nil {
-		d.ioFailure(err)
-		return "", 0, false, err
-	}
-	d.fsys.SyncDir(filepath.Dir(path)) // make the rename durable; optional on some filesystems
-	d.ioOK(true)
-	d.size.Add(size)
-	d.tracePut.Add(1)
-	d.maybeEvict()
-	return digest, size, false, nil
+	m.WriteTo(h) // a hash never fails a write
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// OpenTrace maps a trace store previously persisted by AddTrace. A store
-// that fails the container's structural validation (truncated data,
-// inconsistent chunk index — possible only if the atomic-write contract
-// was subverted, e.g. by external tampering) is removed and reported as
-// a miss, so the stream is re-materialized and the entry repaired. An
-// absent store is a plain miss, and any other open failure is a miss
-// counted against the breaker.
+// OpenTrace maps a trace store previously persisted by AddTrace and
+// verifies it against its address: the store must hash to digest. A
+// store that fails the container's structural validation (truncated
+// data, inconsistent chunk index) or the hash (bit rot inside the chunk
+// data, which parses fine but replays a different stream) is removed and
+// reported as a miss, so the stream is re-materialized and the entry
+// repaired. An absent store is a plain miss, and any other open failure
+// is a miss counted against the breaker.
 func (d *Dir) OpenTrace(digest string) (*trace.Materialized, bool) {
 	if d == nil {
 		d.traceMissInc()
@@ -595,17 +512,21 @@ func (d *Dir) OpenTrace(digest string) (*trace.Materialized, bool) {
 	}
 	path := d.tracePath(digest)
 	m, err := trace.OpenStore(path)
+	if err == nil && traceDigest(m) != digest {
+		m.Close()
+		err = fmt.Errorf("%w: %s does not hash to its address", trace.ErrBadTrace, path)
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, trace.ErrBadTrace):
-			// The file exists but does not parse: poisoned, not absent.
+			// The file exists but is damaged: poisoned, not absent.
 			if fi, statErr := d.fsys.Stat(path); statErr == nil {
 				d.bad.Add(1)
 				d.removeBad(path, fi.Size())
 			}
 		case errors.Is(err, fs.ErrNotExist):
 			// Absent, or evicted since the caller learned the digest. A
-			// concurrent re-ingest may already have put a fresh, valid
+			// concurrent AddTrace may already have put a fresh, valid
 			// copy back; that is no reason to delete it.
 		default:
 			d.ioFailure(err)
@@ -698,8 +619,7 @@ func (d *Dir) listEntries() []entryFile {
 }
 
 // isEntryName reports whether name is a published entry file rather than
-// a staging file (atomicfile's "<entry>.tmp*", IngestTrace's
-// "ingest*.tmp").
+// a staging file (atomicfile's "<entry>.tmp*").
 func isEntryName(name string) bool {
 	ext := filepath.Ext(name)
 	return ext == ".ltre" || ext == ".ltcx"

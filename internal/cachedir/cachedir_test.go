@@ -268,32 +268,49 @@ func TestOpenTraceRejectsBadDigest(t *testing.T) {
 	}
 }
 
+// A damaged trace store is a miss that removes the file, whether the
+// damage breaks the container (truncation) or only changes the stream it
+// replays (a flipped bit inside the chunk data); re-adding repairs it.
 func TestCorruptTraceFallsBack(t *testing.T) {
 	d := openRW(t, Options{Version: "v1"})
-	digest, err := d.AddTrace(testTrace(500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := entryPath(t, d, tracesSub)
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p, raw[:len(raw)/3], 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.OpenTrace(digest); ok {
-		t.Fatal("truncated trace store opened")
-	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatal("corrupt trace not removed")
-	}
-	// Repair path: re-adding the trace works again.
-	if _, err := d.AddTrace(testTrace(500)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.OpenTrace(digest); !ok {
-		t.Fatal("repaired trace did not open")
+	for i, damage := range []struct {
+		name string
+		edit func(raw []byte) []byte
+	}{
+		{"truncated", func(raw []byte) []byte { return raw[:len(raw)/3] }},
+		{"bit-flipped", func(raw []byte) []byte { raw[2*len(raw)/3] ^= 1; return raw }},
+	} {
+		digest, err := d.AddTrace(testTrace(500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := entryPath(t, d, tracesSub)
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, damage.edit(raw), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := d.OpenTrace(digest); ok {
+			m.Close()
+			t.Fatalf("%s trace store opened", damage.name)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s trace not removed", damage.name)
+		}
+		if c := d.Counters(); c.BadEntries != uint64(i+1) {
+			t.Fatalf("%s trace: %d bad entries counted, want %d", damage.name, c.BadEntries, i+1)
+		}
+		// Repair path: re-adding the trace works again.
+		if _, err := d.AddTrace(testTrace(500)); err != nil {
+			t.Fatal(err)
+		}
+		m, ok := d.OpenTrace(digest)
+		if !ok {
+			t.Fatalf("%s trace: repaired store did not open", damage.name)
+		}
+		m.Close()
 	}
 }
 
@@ -305,7 +322,7 @@ func TestEvictionRespectsCapOldestFirst(t *testing.T) {
 	// entry, they must survive the walks (deleting one fails its rename).
 	staging := []string{
 		filepath.Join(d.Root(), resultsSub, "00", "00.ltre.tmp1"),
-		filepath.Join(d.Root(), tracesSub, "ingest1.tmp"),
+		filepath.Join(d.Root(), tracesSub, "00", "00.ltcx.tmp1"),
 	}
 	ancient := time.Now().Add(-100 * time.Hour)
 	for _, p := range staging {

@@ -1,102 +1,12 @@
 package cachedir
 
 import (
-	"bytes"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// traceBytes serializes a test trace the way an ltexpd upload body
-// carries it.
-func traceBytes(t *testing.T, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := testTrace(n).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestIngestTraceRoundTripAndDedup(t *testing.T) {
-	d := openRW(t, Options{Version: "v1"})
-	raw := traceBytes(t, 1000)
-
-	digest, size, dup, err := d.IngestTrace(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dup || size != int64(len(raw)) {
-		t.Fatalf("first ingest: dup=%v size=%d want false/%d", dup, size, len(raw))
-	}
-	// The ingested digest must equal the AddTrace content address, so
-	// uploads and locally materialized streams share one tier.
-	want, err := d.AddTrace(testTrace(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest != want {
-		t.Fatalf("ingest digest %s != AddTrace digest %s", digest, want)
-	}
-	m, ok := d.OpenTrace(digest)
-	if !ok {
-		t.Fatal("OpenTrace missed the ingested digest")
-	}
-	defer m.Close()
-	if m.Refs() != 1000 {
-		t.Fatalf("revived %d refs, want 1000", m.Refs())
-	}
-	// Re-upload is free.
-	digest2, _, dup2, err := d.IngestTrace(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dup2 || digest2 != digest {
-		t.Fatalf("re-ingest: dup=%v digest=%s", dup2, digest2)
-	}
-	if c := d.Counters(); c.TracePuts != 1 {
-		t.Fatalf("TracePuts = %d, want 1 (ingest deduped against AddTrace)", c.TracePuts)
-	}
-}
-
-func TestIngestTraceRejectsGarbage(t *testing.T) {
-	d := openRW(t, Options{Version: "v1"})
-	if _, _, _, err := d.IngestTrace(strings.NewReader("this is not an LTCX store")); err == nil {
-		t.Fatal("garbage upload accepted")
-	}
-	// Nothing entered the tier, and no staging litter survived (the
-	// eviction walk skips staging files, so look at the raw directory).
-	var left []string
-	filepath.WalkDir(d.Root(), func(path string, de fs.DirEntry, err error) error {
-		if err == nil && !de.IsDir() && de.Name() != "CACHEDIR.TAG" {
-			left = append(left, path)
-		}
-		return nil
-	})
-	if len(left) != 0 {
-		t.Fatalf("rejected upload left %d files: %v", len(left), left)
-	}
-}
-
-func TestIngestTraceRefusedReadOnlyAndNil(t *testing.T) {
-	rw := openRW(t, Options{Version: "v1"})
-	ro, err := Open(rw.Root(), Options{Mode: ReadOnly, Version: "v1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ro.IngestTrace(bytes.NewReader(traceBytes(t, 10))); err == nil {
-		t.Fatal("read-only cache accepted an upload")
-	}
-	var nilDir *Dir
-	if _, _, _, err := nilDir.IngestTrace(bytes.NewReader(traceBytes(t, 10))); err == nil {
-		t.Fatal("nil cache accepted an upload")
-	}
-}
 
 // TestParallelReadersDuringEviction drives concurrent result Gets and
 // trace OpenTraces while writers overflow the byte budget and the LRU
@@ -106,8 +16,8 @@ func TestIngestTraceRefusedReadOnlyAndNil(t *testing.T) {
 func TestParallelReadersDuringEviction(t *testing.T) {
 	d := openRW(t, Options{Version: "v1", MaxBytes: 64 << 10})
 	payload := make([]byte, 8<<10)
-	raw := traceBytes(t, 2000)
-	digest, _, _, err := d.IngestTrace(bytes.NewReader(raw))
+	m := testTrace(2000)
+	digest, err := d.AddTrace(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +50,7 @@ func TestParallelReadersDuringEviction(t *testing.T) {
 		}(g)
 	}
 	// Writers: keep the directory over budget so eviction walks run
-	// concurrently with the readers; re-ingest the trace so it reappears
+	// concurrently with the readers; re-add the trace so it reappears
 	// when evicted.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -149,7 +59,7 @@ func TestParallelReadersDuringEviction(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				d.Put(fmt.Sprintf("k%d", (g*20+i)%16), payload)
 				if i%8 == 0 {
-					d.IngestTrace(bytes.NewReader(raw))
+					d.AddTrace(m)
 				}
 			}
 		}(g)
@@ -176,8 +86,8 @@ func TestParallelReadersDuringRepair(t *testing.T) {
 	if !d.Put("k", payload) {
 		t.Fatal("seed Put failed")
 	}
-	raw := traceBytes(t, 500)
-	digest, _, _, err := d.IngestTrace(bytes.NewReader(raw))
+	m := testTrace(500)
+	digest, err := d.AddTrace(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +121,7 @@ func TestParallelReadersDuringRepair(t *testing.T) {
 				default:
 					// Repairing writers.
 					d.Put("k", payload)
-					d.IngestTrace(bytes.NewReader(raw))
+					d.AddTrace(m)
 				}
 			}
 		}(g)
@@ -222,7 +132,7 @@ func TestParallelReadersDuringRepair(t *testing.T) {
 	if got, ok := d.Get("k"); !ok || string(got) != string(payload) {
 		t.Fatalf("result entry not repaired: %q/%v", got, ok)
 	}
-	if _, _, _, err := d.IngestTrace(bytes.NewReader(raw)); err != nil {
+	if _, err := d.AddTrace(m); err != nil {
 		t.Fatal(err)
 	}
 	if m, ok := d.OpenTrace(digest); !ok {

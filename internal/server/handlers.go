@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/buildinfo"
@@ -178,52 +176,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	res.RenderText(w)
-}
-
-// handleTraceUpload streams an LTCX store body into the cache's trace
-// tier (content-addressed: identical re-uploads are deduplicated).
-//
-//	curl -X POST --data-binary @trace.ltcx http://host/v1/traces
-//	→ 201 {"digest":"…","bytes":N,"deduped":false}
-func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Cache == nil {
-		writeError(w, http.StatusServiceUnavailable, "no persistent cache configured (start ltexpd with -cache-dir)")
-		return
-	}
-	// A legitimate trace upload can take longer than the server-wide
-	// ReadTimeout allows; the body cap, not the clock, is this route's
-	// limit.
-	http.NewResponseController(w).SetReadDeadline(time.Time{})
-	body := io.Reader(r.Body)
-	if limit := s.maxTraceBytes(); limit > 0 {
-		body = http.MaxBytesReader(w, r.Body, limit)
-	}
-	digest, n, dup, err := s.cfg.Cache.IngestTrace(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		status := http.StatusBadRequest
-		switch {
-		case errors.As(err, &tooBig):
-			status = http.StatusRequestEntityTooLarge
-		case errors.Is(err, cachedir.ErrDegraded):
-			// The cache is riding out a disk fault memory-only; the upload
-			// is retryable once it recovers.
-			status = http.StatusServiceUnavailable
-		case !strings.Contains(err.Error(), "not a valid trace store"):
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, "trace upload: %v", err)
-		return
-	}
-	status := http.StatusCreated
-	if dup {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, struct {
-		Digest  string `json:"digest"`
-		Bytes   int64  `json:"bytes"`
-		Deduped bool   `json:"deduped"`
-	}{digest, n, dup})
 }
 
 // handleStats reports the daemon-wide view: cumulative scheduler

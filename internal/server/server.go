@@ -1,11 +1,10 @@
 // Package server implements ltexpd: the long-running simulation service
-// over the shared runner scheduler (DESIGN.md §14). Clients upload LTCX
-// traces into the persistent cache's trace tier, submit experiment jobs
-// (the same specs cmd/ltexp runs), watch progress over SSE and fetch
-// reports that are byte-identical to a local ltexp invocation — with
-// every job sharing one scheduler and one content-addressed cache, so
-// concurrent users sweeping overlapping configurations pay for each
-// distinct simulation exactly once.
+// over the shared runner scheduler (DESIGN.md §14). Clients submit
+// experiment jobs (the same specs cmd/ltexp runs), watch progress over
+// SSE and fetch reports that are byte-identical to a local ltexp
+// invocation — with every job sharing one scheduler and one
+// content-addressed cache, so concurrent users sweeping overlapping
+// configurations pay for each distinct simulation exactly once.
 package server
 
 import (
@@ -27,7 +26,7 @@ type Config struct {
 	// serving, exactly as cmd/ltexp does.
 	Sched *runner.Scheduler
 	// Cache is the persistent cell/trace cache (nil = memory-only: jobs
-	// dedup within the process, trace uploads are refused).
+	// dedup within the process only).
 	Cache *cachedir.Dir
 	// MaxActiveJobs bounds concurrently running jobs (min/default 1);
 	// further submissions queue. The scheduler's weighted admission
@@ -40,20 +39,9 @@ type Config struct {
 	// Burst is its capacity (default 2×rate).
 	RatePerSec float64
 	Burst      float64
-	// MaxTraceBytes bounds a single POST /v1/traces body; an oversized
-	// upload gets 413 before it can spool an unbounded stream to disk
-	// (0 = DefaultMaxTraceBytes, < 0 = unlimited).
-	MaxTraceBytes int64
 	// Logger receives request and lifecycle lines (default: log.Default).
 	Logger *log.Logger
 }
-
-// DefaultMaxTraceBytes is the trace-upload body cap when
-// Config.MaxTraceBytes is zero. Materialized stores for the paper's
-// scales are tens to hundreds of megabytes; 4 GiB leaves generous
-// headroom without letting one client fill the disk in a single
-// request.
-const DefaultMaxTraceBytes = 4 << 30
 
 // Server is the assembled daemon: job manager plus HTTP surface.
 type Server struct {
@@ -103,7 +91,6 @@ func (s *Server) buildHandler() http.Handler {
 	api.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	api.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	api.HandleFunc("GET /v1/jobs/{id}/report", s.handleReport)
-	api.HandleFunc("POST /v1/traces", s.handleTraceUpload)
 	api.HandleFunc("GET /v1/stats", s.handleStats)
 
 	var v1 http.Handler = api
@@ -122,17 +109,6 @@ func (s *Server) buildHandler() http.Handler {
 	h = requestLog(s.logger, h)
 	h = requestID(h)
 	return h
-}
-
-// maxTraceBytes resolves the trace-upload body cap (0 = unlimited).
-func (s *Server) maxTraceBytes() int64 {
-	switch {
-	case s.cfg.MaxTraceBytes < 0:
-		return 0
-	case s.cfg.MaxTraceBytes == 0:
-		return DefaultMaxTraceBytes
-	}
-	return s.cfg.MaxTraceBytes
 }
 
 // bucket builds the configured rate limiter (nil when disabled).

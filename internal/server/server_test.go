@@ -18,9 +18,7 @@ import (
 
 	"repro/internal/cachedir"
 	"repro/internal/exp"
-	"repro/internal/mem"
 	"repro/internal/runner"
-	"repro/internal/trace"
 )
 
 // newTestServer builds a server over a fresh scheduler with the job
@@ -438,72 +436,6 @@ func TestRecoverPanics(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panic → %d, want 500", rec.Code)
-	}
-}
-
-// uploadableTrace serializes an LTCX store the way curl --data-binary
-// ships it.
-func uploadableTrace(t *testing.T, n int) []byte {
-	t.Helper()
-	refs := make([]trace.Ref, n)
-	for i := range refs {
-		refs[i] = trace.Ref{PC: mem.Addr(0x1000 + 4*i), Addr: mem.Addr(0x80000 + 64*i), Gap: 1}
-	}
-	var buf bytes.Buffer
-	if _, err := trace.Materialize(trace.NewSliceSource(refs)).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestTraceUpload(t *testing.T) {
-	cache, err := cachedir.Open(t.TempDir(), cachedir.Options{Version: "v1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, nil, Config{Cache: cache})
-	h := s.Handler()
-	raw := uploadableTrace(t, 300)
-	post := func(body []byte) (*httptest.ResponseRecorder, map[string]any) {
-		req := httptest.NewRequest("POST", "/v1/traces", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		var out map[string]any
-		json.Unmarshal(rec.Body.Bytes(), &out)
-		return rec, out
-	}
-	rec, out := post(raw)
-	if rec.Code != http.StatusCreated || out["deduped"] == true {
-		t.Fatalf("first upload: %d %v", rec.Code, out)
-	}
-	digest, _ := out["digest"].(string)
-	if digest == "" {
-		t.Fatalf("no digest in %v", out)
-	}
-	// Re-upload dedups against the content address.
-	rec2, out2 := post(raw)
-	if rec2.Code != http.StatusOK || out2["deduped"] != true || out2["digest"] != digest {
-		t.Fatalf("re-upload: %d %v", rec2.Code, out2)
-	}
-	// Garbage is rejected before entering the tier.
-	if rec3, _ := post([]byte("definitely not LTCX")); rec3.Code != http.StatusBadRequest {
-		t.Fatalf("garbage upload: %d", rec3.Code)
-	}
-	// The ingested trace is live in the cache tier.
-	if m, ok := cache.OpenTrace(digest); !ok {
-		t.Fatal("uploaded trace not in cache")
-	} else {
-		m.Close()
-	}
-}
-
-func TestTraceUploadWithoutCache(t *testing.T) {
-	s := newTestServer(t, nil, Config{})
-	req := httptest.NewRequest("POST", "/v1/traces", bytes.NewReader(uploadableTrace(t, 10)))
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("cacheless upload: %d, want 503", rec.Code)
 	}
 }
 

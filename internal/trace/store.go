@@ -2,25 +2,25 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
 	"os"
-	"sync"
 
 	"repro/internal/atomicfile"
 	"repro/internal/mem"
 )
 
-// This file implements the materialized-trace store: a reference stream
-// encoded once into LTCT-compressed chunks and replayed any number of
-// times through independent cursors.
+// This file implements the materialized-trace store (LTCX), the one
+// trace file format: a reference stream encoded once into delta-encoded
+// chunks and replayed any number of times through independent cursors.
 //
 // Generation is the only per-cell cost the experiment scheduler cannot
 // dedupe by memoizing results — every analysis of one (preset, scale,
 // seed) re-runs the generators. Materialize runs them exactly once:
 // the stream is encoded into fixed-size chunks (DefaultRefsPerChunk
-// references each) using the codec's delta record format, with the
+// references each) using the delta record format below, with the
 // delta state (prevPC/prevAddr) reset at every chunk boundary and the
 // chunk byte offsets recorded in an index. Each chunk is therefore an
 // independent decode entry point, and a Cursor — a zero-alloc Source
@@ -41,7 +41,7 @@ import (
 const DefaultRefsPerChunk = 1 << 14
 
 // Materialized is a reference stream encoded once into indexed
-// LTCT-compressed chunks (the materialized-trace store). It is immutable
+// delta-encoded chunks (the materialized-trace store). It is immutable
 // after construction: any number of Cursors may replay it concurrently.
 type Materialized struct {
 	data         []byte   // concatenated chunk records
@@ -99,8 +99,34 @@ func MaterializeChunked(src Source, refsPerChunk int) *Materialized {
 	return m
 }
 
-// appendRecord appends one reference in the codec's record format
-// (flags, optional extended ctx, gap, zigzag pc/addr deltas).
+// Each reference is one delta-encoded record:
+//
+//	flags byte: bit0 kind (1=store), bit1 dep, bits2-3 ctx (when <= 3),
+//	            bit4 extended ctx (a full ctx byte follows flags)
+//	ctx   byte (only when flags bit4 is set): the full uint8 context id
+//	gap   byte
+//	pc    delta from previous pc, zigzag uvarint
+//	addr  delta from previous addr, zigzag uvarint
+//
+// The extended-ctx form keeps consolidation mixes beyond 4 contexts exact
+// (no silent truncation of the Ctx tag). Consecutive references have
+// strong spatial locality in both PC and data address, so zigzag deltas
+// keep real traces small (typically 4-6 bytes per reference versus 19
+// for the raw struct).
+
+// ErrBadTrace reports a malformed trace store.
+var ErrBadTrace = errors.New("trace: malformed stream")
+
+func zigzag(d int64) uint64 {
+	return uint64(d<<1) ^ uint64(d>>63)
+}
+
+func unzigzag(u uint64) int64 {
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// appendRecord appends one reference in the record format (flags,
+// optional extended ctx, gap, zigzag pc/addr deltas).
 func appendRecord(dst []byte, r Ref, prevPC, prevAddr mem.Addr) []byte {
 	flags := byte(0)
 	if r.Kind == Store {
@@ -151,42 +177,11 @@ func (m *Materialized) chunk(i int) []byte { return m.data[m.offs[i]:m.offs[i+1]
 // concurrently; each is single-goroutine like any Source.
 func (m *Materialized) Cursor() *Cursor { return &Cursor{m: m} }
 
-// Cursors splits the store into n contiguous chunk ranges and returns one
-// bounded cursor per range: cursor i replays exactly its range's
-// references, and concatenating the outputs in order reproduces the whole
-// stream byte-identically. The per-chunk delta reset makes every range an
-// independent decode entry point, so the cursors may replay concurrently
-// on worker goroutines (chunk-granular parallel replay); any
-// order-insensitive fold over the stream distributes over them. At most
-// Chunks() cursors are returned (never an empty range); n < 1 is treated
-// as 1, and an empty store yields nil.
-func (m *Materialized) Cursors(n int) []*Cursor {
-	chunks := m.Chunks()
-	if n < 1 {
-		n = 1
-	}
-	if n > chunks {
-		n = chunks
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]*Cursor, n)
-	for i := range out {
-		lo, hi := i*chunks/n, (i+1)*chunks/n
-		out[i] = &Cursor{m: m, chunk: lo, start: lo, stop: hi}
-	}
-	return out
-}
-
-// Cursor replays a materialized trace, either whole (Cursor) or bounded
-// to a chunk range (Cursors). It implements Source; the replay
+// Cursor replays a materialized trace. It implements Source; the replay
 // loop performs no heap allocation.
 type Cursor struct {
 	m        *Materialized
 	chunk    int    // next chunk to load
-	start    int    // first chunk of the cursor's range (Reset target)
-	stop     int    // chunk bound: replay stops before this chunk; 0 = none
 	data     []byte // current chunk's records
 	pos      int    // next record offset within data
 	prevPC   mem.Addr
@@ -194,9 +189,8 @@ type Cursor struct {
 	err      error
 }
 
-// Reset rewinds the cursor to the start of its range (the start of the
-// stream for plain Cursor()s; range cursors keep their bounds).
-func (c *Cursor) Reset() { *c = Cursor{m: c.m, chunk: c.start, start: c.start, stop: c.stop} }
+// Reset rewinds the cursor to the start of the stream.
+func (c *Cursor) Reset() { *c = Cursor{m: c.m} }
 
 // Err returns nil after a clean end of stream, or the decode error that
 // terminated the cursor (possible only on stores opened from files).
@@ -213,11 +207,7 @@ func (c *Cursor) ReadRefs(buf []Ref) int {
 	n := 0
 	for n < len(buf) {
 		if c.pos >= len(c.data) {
-			end := c.m.Chunks()
-			if c.stop > 0 && c.stop < end {
-				end = c.stop
-			}
-			if c.chunk >= end || c.err != nil {
+			if c.chunk >= c.m.Chunks() || c.err != nil {
 				return n
 			}
 			c.data = c.m.chunk(c.chunk)
@@ -358,53 +348,6 @@ func (c *Cursor) fail(err error, pos int) {
 	c.chunk = c.m.Chunks()
 }
 
-// ReplayStats recomputes the stream statistics by decoding the store,
-// fanning the chunk index out over workers goroutines (each replaying a
-// bounded range cursor from Cursors). Stats are an order-insensitive fold
-// over references, so the result is identical at any worker count; it
-// must equal Stats() — a mismatch on a store opened from a file means the
-// header or data section is corrupt (lttrace -verify drives this). A
-// decode error from any range terminates the pass.
-func (m *Materialized) ReplayStats(workers int) (Stats, error) {
-	curs := m.Cursors(workers)
-	if len(curs) == 0 {
-		return Stats{}, nil
-	}
-	parts := make([]Stats, len(curs))
-	errs := make([]error, len(curs))
-	var wg sync.WaitGroup
-	for i, c := range curs {
-		wg.Add(1)
-		go func(i int, c *Cursor) {
-			defer wg.Done()
-			var buf [DefaultBatch]Ref
-			for {
-				n := c.ReadRefs(buf[:])
-				if n == 0 {
-					break
-				}
-				for j := range buf[:n] {
-					parts[i].Observe(buf[j])
-				}
-			}
-			errs[i] = c.Err()
-		}(i, c)
-	}
-	wg.Wait()
-	var total Stats
-	for i := range parts {
-		if errs[i] != nil {
-			return Stats{}, fmt.Errorf("trace: replaying chunk range %d/%d: %w", i, len(curs), errs[i])
-		}
-		total.Refs += parts[i].Refs
-		total.Loads += parts[i].Loads
-		total.Stores += parts[i].Stores
-		total.Instrs += parts[i].Instrs
-		total.Deps += parts[i].Deps
-	}
-	return total, nil
-}
-
 // The store container format persists the chunk index in the header so a
 // reader seeks without scanning the data:
 //
@@ -414,7 +357,7 @@ func (m *Materialized) ReplayStats(workers int) (Stats, error) {
 //	u32 chunk count n
 //	(n+1) x u64 chunk offsets, relative to the data section (offs[0]=0,
 //	        offs[n]=len(data))
-//	chunk data (records in the codec's delta format, deltas reset at
+//	chunk data (records in the delta format above, deltas reset at
 //	        every chunk boundary)
 //
 // All integers little-endian fixed width: the header is parsed in place
@@ -471,7 +414,7 @@ func (m *Materialized) WriteFile(path string) error {
 	})
 }
 
-// OpenStore maps a store file written by WriteFile (or lttrace -record)
+// OpenStore maps a store file written by WriteFile (or lttrace -out)
 // for replay. The chunk data is not copied onto the heap: on platforms
 // with mmap support the page cache backs it directly, so traces far
 // larger than memory replay at decode bandwidth. Close releases the

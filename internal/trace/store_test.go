@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -127,64 +130,6 @@ func TestCursorResetAndSeek(t *testing.T) {
 	}
 }
 
-// TestCursorAtChunkBoundaries pins chunk-range replay across delta-reset
-// points: Cursors(n) ranges partition the stream with no overlap or gap at
-// any n (the per-chunk delta reset makes every boundary an exact entry
-// point), and range cursors stop at — never read past — their bound.
-func TestCursorAtChunkBoundaries(t *testing.T) {
-	const perChunk = 64
-	refs := randRefs(21, 10*perChunk+17) // last chunk deliberately partial
-	m := MaterializeChunked(NewSliceSource(refs), perChunk)
-
-	// Cursors(n) partitions: concatenated ranges reproduce the stream for
-	// n below, at, and beyond the chunk count.
-	for _, n := range []int{1, 2, 3, m.Chunks(), m.Chunks() + 5} {
-		var got []Ref
-		curs := m.Cursors(n)
-		if want := min(n, m.Chunks()); len(curs) != want {
-			t.Fatalf("Cursors(%d) returned %d cursors, want %d", n, len(curs), want)
-		}
-		for _, c := range curs {
-			got = append(got, replayAll(t, c)...)
-		}
-		if !reflect.DeepEqual(got, refs) {
-			t.Fatalf("Cursors(%d): concatenated ranges diverge from the stream", n)
-		}
-	}
-
-	// A range cursor stops at its bound and Reset rewinds to the range
-	// start, not the stream start.
-	curs := m.Cursors(3)
-	mid := replayAll(t, curs[1])
-	if len(mid) == 0 || len(mid) == len(refs) {
-		t.Fatalf("middle range replayed %d refs", len(mid))
-	}
-	curs[1].Reset()
-	if again := replayAll(t, curs[1]); !reflect.DeepEqual(again, mid) {
-		t.Fatal("Reset on a range cursor did not rewind to the range start")
-	}
-}
-
-// TestReplayStats pins the order-insensitive parallel fold: recomputed
-// stats equal the encode-time stats at every worker count.
-func TestReplayStats(t *testing.T) {
-	refs := randRefs(33, 5000)
-	m := MaterializeChunked(NewSliceSource(refs), 128)
-	for _, workers := range []int{0, 1, 2, 7, 64, 1000} {
-		got, err := m.ReplayStats(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != m.Stats() {
-			t.Fatalf("ReplayStats(%d) = %+v, encode-time stats %+v", workers, got, m.Stats())
-		}
-	}
-	empty := Materialize(NewSliceSource(nil))
-	if st, err := empty.ReplayStats(4); err != nil || st != (Stats{}) {
-		t.Fatalf("empty ReplayStats = %+v, %v", st, err)
-	}
-}
-
 func TestStoreFileRoundTrip(t *testing.T) {
 	refs := randRefs(17, 4096)
 	m := MaterializeChunked(NewSliceSource(refs), 333)
@@ -232,6 +177,28 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 	if _, err := OpenStore(write("cut", raw[:len(raw)-1])); err == nil {
 		// The chunk index no longer spans the shortened data section.
 		t.Error("want error for truncated data")
+	}
+}
+
+// A record cut short at the end of the data, under a chunk index that
+// still spans what is left, ends the cursor with ErrBadTrace before the
+// header's reference count: the store opens, but a full replay fails.
+func TestCursorTruncatedRecord(t *testing.T) {
+	m := MaterializeChunked(NewSliceSource(randRefs(4, 100)), 64)
+	raw := append(m.headerBytes(), m.data[:len(m.data)-1]...)
+	binary.LittleEndian.PutUint64(raw[storeFixedHead+8*m.Chunks():], uint64(len(m.data)-1))
+	path := filepath.Join(t.TempDir(), "cut.ltcx")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	c := o.Cursor()
+	if n := Count(c); n >= o.Refs() || !errors.Is(c.Err(), ErrBadTrace) {
+		t.Fatalf("cut store replayed %d of %d refs, err %v; want fewer and ErrBadTrace", n, o.Refs(), c.Err())
 	}
 }
 
@@ -316,6 +283,39 @@ func FuzzMaterializeRoundTrip(f *testing.F) {
 			if got[i] != refs[i] {
 				t.Fatalf("mapped replay diverged at ref %d", i)
 			}
+		}
+	})
+}
+
+// FuzzOpenStore treats arbitrary bytes as a store file: opening and
+// replaying it must fail with ErrBadTrace or succeed, never panic. The
+// cache tells a poisoned entry from a disk fault by that error.
+func FuzzOpenStore(f *testing.F) {
+	var valid bytes.Buffer
+	if _, err := MaterializeChunked(NewSliceSource(randRefs(1, 300)), 64).WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add([]byte(storeMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ltcx")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenStore(path)
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("open failed without ErrBadTrace: %v", err)
+			}
+			return
+		}
+		defer m.Close()
+		c := m.Cursor()
+		buf := make([]Ref, 64)
+		for c.ReadRefs(buf) != 0 {
+		}
+		if err := c.Err(); err != nil && !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("replay failed without ErrBadTrace: %v", err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 // Package trace defines the memory-reference record that flows through the
 // simulators, together with composable reference sources (generators,
-// filters, interleavers) and a compact binary trace codec.
+// filters, interleavers) and the materialized-trace store (LTCX), the one
+// binary trace format.
 //
 // A Ref is one committed memory instruction. Trace-driven simulation
 // (paper Sections 5.1-5.6) consumes only PC, Addr and Kind; the timing model

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mem"
 )
@@ -132,140 +129,10 @@ func TestTeeAndStats(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTripFixed(t *testing.T) {
-	refs := []Ref{
-		{PC: 0x1000, Addr: 0x7fff0000, Kind: Load, Gap: 4},
-		{PC: 0x1004, Addr: 0x7fff0040, Kind: Store, Gap: 0, Dep: true, Ctx: 1},
-		{PC: 0x0ff8, Addr: 0x10, Kind: Load, Gap: 255, Ctx: 3},
-	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range refs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 3 {
-		t.Errorf("writer count = %d", w.Count())
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Collect(r, 0)
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, refs) {
-		t.Errorf("round trip = %+v want %+v", got, refs)
-	}
-}
-
-// Property: any sequence of references survives an encode/decode round trip.
-func TestCodecRoundTripQuick(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		refs := make([]Ref, int(n))
-		for i := range refs {
-			refs[i] = Ref{
-				PC:   mem.Addr(rng.Uint64()),
-				Addr: mem.Addr(rng.Uint64()),
-				Kind: Kind(rng.Intn(2)),
-				Gap:  uint8(rng.Intn(256)),
-				Dep:  rng.Intn(2) == 1,
-				Ctx:  uint8(rng.Intn(4)),
-			}
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for _, r := range refs {
-			if err := w.Write(r); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		rd, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		got := Collect(rd, 0)
-		if rd.Err() != nil {
-			return false
-		}
-		if len(got) != len(refs) {
-			return false
-		}
-		for i := range refs {
-			if got[i] != refs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOPE!"))); err == nil {
-		t.Error("want error for bad magic")
-	}
-	if _, err := NewReader(bytes.NewReader([]byte("LT"))); err == nil {
-		t.Error("want error for short header")
-	}
-	if _, err := NewReader(bytes.NewReader([]byte("LTCT\x63"))); err == nil {
-		t.Error("want error for bad version")
-	}
-}
-
-func TestReaderTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	_ = w.Write(ref(1, 2))
-	_ = w.Flush()
-	data := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(data[:len(data)-1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = Collect(r, 0)
-	if r.Err() == nil {
-		t.Error("want decode error for truncated stream")
-	}
-}
-
 func TestZigzag(t *testing.T) {
 	for _, d := range []int64{0, 1, -1, 2, -2, 1 << 40, -(1 << 40), -9e18} {
 		if unzigzag(zigzag(d)) != d {
 			t.Errorf("zigzag round trip failed for %d", d)
-		}
-	}
-}
-
-func BenchmarkCodecWrite(b *testing.B) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	r := Ref{PC: 0x1000, Addr: 0x2000, Gap: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Addr += 64
-		if err := w.Write(r); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() > 1<<24 {
-			buf.Reset()
 		}
 	}
 }

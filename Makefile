@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-check warm-check serve-check fault-check fmt experiments goldens
+.PHONY: build test race bench bench-smoke bench-check warm-check serve-check fault-check fmt experiments
 
 build:
 	$(GO) build ./...
@@ -9,8 +9,8 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over every package with short-mode workloads
-# (-short skips the long full-matrix tests and the golden-fingerprint
-# runs; the plain `test` target covers those).
+# (-short skips the long runs, among them the pinned full -exp all run;
+# the plain `test` target covers those).
 race:
 	$(GO) test -race -short ./...
 
@@ -71,16 +71,11 @@ fault-check:
 fmt:
 	gofmt -w .
 
-# Re-pin the golden report fingerprints (internal/exp/goldens.go) after
-# an intentional model change, then regenerate EXPERIMENTS.md so the
-# committed results match the new pins. The golden tests verify the
-# pinned renderings reproduce at every parallelism/worker combination.
-goldens:
-	$(GO) run ./cmd/goldens
-	$(MAKE) experiments
-
-# Regenerate EXPERIMENTS.md from a full parallel run.
+# Regenerate EXPERIMENTS.md, the one pin of what the simulator prints,
+# from a serial run. Tier-1's TestCellCacheFullAllRun must reproduce its
+# fenced block at -parallel 8 -workers 8, and TestPinnedCacheVersion pins
+# the block's sha256 with the cache version (DESIGN.md §12).
 experiments:
-	$(GO) run ./cmd/ltexp -exp all -q > EXPERIMENTS.tmp && \
-		{ printf '# EXPERIMENTS — measured results (small scale, seed 1)\n\nRegenerated by `make experiments` (`ltexp -exp all`; use `-json` for\nstructured output, `-workers N` for intra-run shard parallelism,\n`-cache-dir D` to persist results so a repeat run executes zero\nsimulations — results are byte-identical at any worker count, warm or\ncold). Paper-versus-measured commentary lives in the report notes.\n\n```\n'; cat EXPERIMENTS.tmp; printf '```\n'; } > EXPERIMENTS.md && \
+	$(GO) run ./cmd/ltexp -exp all -q -parallel 1 > EXPERIMENTS.tmp && \
+		{ printf '# EXPERIMENTS — measured results (small scale, seed 1)\n\nRegenerated by `make experiments` (`ltexp -exp all -q -parallel 1`): the\nserial reference that tier-1 pins. `TestCellCacheFullAllRun` must\nreproduce the block below byte for byte with 8 cell workers and 8\nintra-run workers. Use `-json` for structured output and `-cache-dir D`\nto persist results so a repeat run executes zero simulations.\nPaper-versus-measured commentary lives in the report notes.\n\n```\n'; cat EXPERIMENTS.tmp; printf '```\n'; } > EXPERIMENTS.md && \
 		rm EXPERIMENTS.tmp

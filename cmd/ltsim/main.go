@@ -47,7 +47,6 @@ import (
 	"repro/internal/ghb"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/stride"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -65,10 +64,8 @@ func buildPredictor(name string) (sim.Prefetcher, error) {
 		return dbcp.New(l1, dbcp.UnlimitedParams())
 	case "ghb":
 		return ghb.New(l1, ghb.DefaultParams())
-	case "stride":
-		return stride.New(l1, stride.DefaultParams())
 	}
-	return nil, fmt.Errorf("unknown predictor %q (none|lt-cords|dbcp|dbcp-unlimited|ghb|stride)", name)
+	return nil, fmt.Errorf("unknown predictor %q (none|lt-cords|dbcp|dbcp-unlimited|ghb)", name)
 }
 
 // main delegates to run so that deferred profile writers always execute
@@ -81,7 +78,7 @@ func run() int {
 	var (
 		bench    = flag.String("bench", "mcf", "benchmark preset name")
 		traceIn  = flag.String("trace", "", "LTCX trace store to simulate instead of a preset (see lttrace)")
-		pred     = flag.String("pred", "lt-cords", "predictor: none|lt-cords|dbcp|dbcp-unlimited|ghb|stride")
+		pred     = flag.String("pred", "lt-cords", "predictor: none|lt-cords|dbcp|dbcp-unlimited|ghb")
 		scale    = flag.String("scale", "small", "workload scale: small|medium|large")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		timing   = flag.Bool("timing", false, "run the cycle timing model instead of trace-driven coverage")

@@ -9,7 +9,7 @@
 // The repository contains:
 //
 //   - internal/core: the LT-cords predictor (the paper's contribution)
-//   - internal/dbcp, internal/ghb, internal/stride: baseline prefetchers
+//   - internal/dbcp, internal/ghb: baseline prefetchers
 //   - internal/cache, internal/mem, internal/history: memory-system substrate
 //   - internal/cpu, internal/bus: simplified out-of-order timing model
 //   - internal/workload: synthetic workload generators standing in for the

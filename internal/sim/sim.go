@@ -1,6 +1,6 @@
 // Package sim wires prefetchers to the memory hierarchy. It defines the
-// Prefetcher interface every predictor implements (LT-cords, DBCP, GHB,
-// stride) and the trace-driven coverage driver that reproduces the paper's
+// Prefetcher interface every predictor implements (LT-cords, DBCP, GHB)
+// and the trace-driven coverage driver that reproduces the paper's
 // coverage/accuracy methodology (Sections 5.1-5.6): a shadow cache with no
 // prefetching supplies the prediction opportunity (the misses of the base
 // system), and each opportunity miss is classified as correct (eliminated),

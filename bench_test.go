@@ -149,7 +149,10 @@ func BenchmarkTraceReplay(b *testing.B) {
 // their own preset pools, so the multi-program materialization fan-out
 // dominates exactly as in the full run). ns/op is the whole run's wall
 // time; allocs track the scheduler + cell machinery and are gated on
-// growth, not on zero.
+// growth, not on zero. Each exp.Run is a job of its own to the trace
+// memo, as a daemon's one-experiment jobs are, so with no cache attached
+// every experiment generates its traces again: the loop also prices the
+// cross-job trace reuse a memory-only daemon gives up.
 func BenchmarkExpAll(b *testing.B) {
 	benchExpAll(b, 0)
 }

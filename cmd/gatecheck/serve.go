@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/server"
 )
 
 // serveGate is an end-to-end smoke over the real ltexpd and ltexp
@@ -68,6 +69,14 @@ func serveGate() {
 		fail(fmt.Errorf("resubmission executed simulations: %+v, want 0", st.Cells))
 	}
 	logf("resubmission served %d cells with 0 simulations", st.Cells.Submitted)
+
+	var stats struct {
+		Runtime server.RuntimeStats `json:"runtime"`
+	}
+	c.getJSON("/v1/stats", &stats)
+	rt := stats.Runtime
+	logf("daemon runtime: %.1f MB live heap, %.1f MB heap goal, %d GC cycles, %.1f MB allocated",
+		float64(rt.HeapLiveBytes)/1e6, float64(rt.HeapGoalBytes)/1e6, rt.GCCycles, float64(rt.AllocBytes)/1e6)
 
 	if err := daemon.Process.Signal(os.Interrupt); err != nil {
 		fail(err)

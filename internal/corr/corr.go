@@ -18,7 +18,8 @@
 package corr
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -126,6 +127,15 @@ type evictRec struct {
 	lastTouch uint64
 }
 
+// byLastTouch orders evictions by (lastTouch, missIdx), a total order
+// since miss indexes are unique.
+func byLastTouch(a, b evictRec) int {
+	if c := cmp.Compare(a.lastTouch, b.lastTouch); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.missIdx, b.missIdx)
+}
+
 // Analyze runs the miss-stream study over src.
 func Analyze(src trace.Source, cfg Config) (Result, error) {
 	if cfg.L1.Size == 0 {
@@ -192,6 +202,11 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 				label.Evicted = r.Evicted.Addr
 				res.DeadTimes.Add(r.Evicted.DeadTime)
 				if len(evicts) < cfg.MaxEvictions {
+					if len(evicts) == cap(evicts) {
+						// Double: append's 1.25x steps for large slices
+						// would allocate about five times the final log.
+						evicts = slices.Grow(evicts, max(len(evicts), 1024))
+					}
 					evicts = append(evicts, evictRec{missIdx: missIdx, lastTouch: r.Evicted.LastTouch})
 				}
 			}
@@ -231,7 +246,7 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 
 	// Figure 7: order evictions by last-touch time and compare against
 	// miss order.
-	sortByLastTouch(evicts)
+	slices.SortFunc(evicts, byLastTouch)
 	for i := 1; i < len(evicts); i++ {
 		d := int64(evicts[i].missIdx) - int64(evicts[i-1].missIdx)
 		if d < 0 {
@@ -240,14 +255,4 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 		res.LastTouchDistHist.Add(uint64(d))
 	}
 	return res, nil
-}
-
-// sortByLastTouch sorts by (lastTouch, missIdx): a stable order for ties.
-func sortByLastTouch(evs []evictRec) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].lastTouch != evs[j].lastTouch {
-			return evs[i].lastTouch < evs[j].lastTouch
-		}
-		return evs[i].missIdx < evs[j].missIdx
-	})
 }

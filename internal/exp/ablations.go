@@ -74,7 +74,7 @@ func runAblations(o Options) (*Report, error) {
 			return nil, fmt.Errorf("ablation %q: %w", a.name, err)
 		}
 		for _, p := range ps {
-			tasks = append(tasks, o.ltCoverageCell(s, p, params, sim.Config{}))
+			tasks = append(tasks, o.ltCoverageCell(p, params, sim.Config{}))
 		}
 	}
 	res, err := runner.All(o.ctx(), s, tasks)

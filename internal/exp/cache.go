@@ -15,16 +15,13 @@ import (
 
 // MaterializedTrace resolves one preset's stream through the persistent
 // cache outside an experiment run (cmd/ltsim's warm path): it submits
-// the same mat cell the experiments use to a throwaway scheduler wired
-// to dir, so a stream any prior run materialized mmaps straight back in,
-// and a miss generates, materializes and persists it for everyone.
+// the same mat cell the experiments use to a trace memo wired to dir,
+// so a stream any prior run materialized mmaps straight back in, and a
+// miss generates, materializes and persists it for everyone.
 func MaterializedTrace(dir *cachedir.Dir, p workload.Preset, sc workload.Scale, seed uint64) (*trace.Materialized, error) {
-	s := runner.New(1)
-	if dir != nil {
-		s.SetStore(dir)
-	}
-	o := Options{Scale: sc, Seed: seed, Cache: dir}
-	return o.materialized(s, p, seed)
+	o := Options{Scale: sc, Seed: seed, Cache: dir, traces: leaseTraces(nil, dir)}
+	defer o.traces.release()
+	return o.materialized(p, seed)
 }
 
 // CacheVersion is the code-version stamp mixed into every persistent

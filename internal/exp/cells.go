@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -28,15 +29,28 @@ import (
 // scheduler and served from the cache afterwards.
 //
 // Workload generation is deduped one level below the cells: every cell
-// pulls its reference stream from the per-scheduler materialization
-// cache (the nested "mat" cells, see Options.materialized), so each
-// (preset, scale, seed) stream is generated once per scheduler and every
-// analysis replays it through an independent trace.Materialized cursor
-// at decode bandwidth (DESIGN.md §10).
+// pulls its reference stream from its job's trace memo (the nested "mat"
+// cells, see Options.materialized), so each (preset, scale, seed) stream
+// is generated once per job and every analysis replays it through an
+// independent trace.Materialized cursor at decode bandwidth (DESIGN.md
+// §10).
 
 // fp renders a parameter struct into a canonical fingerprint. Parameter
 // structs must contain only scalar fields (no pointers, maps or slices).
-func fp(v any) string { return fmt.Sprintf("%+v", v) }
+// Renderings are memoized by value: the experiments draw on a fixed set
+// of parameter structs and every job rebuilds its cell keys from them,
+// so %+v would otherwise dominate a warm job's key building.
+func fp(v any) string {
+	if s, ok := fps.Load(v); ok {
+		return s.(string)
+	}
+	s := fmt.Sprintf("%+v", v)
+	fps.Store(v, s)
+	return s
+}
+
+// fps is fp's memo: parameter struct → rendering.
+var fps sync.Map
 
 // cellKey fingerprints the workload inputs common to every cell.
 func (o Options) cellKey(p workload.Preset) string {
@@ -44,22 +58,25 @@ func (o Options) cellKey(p workload.Preset) string {
 }
 
 // materialized resolves the preset's materialized trace through the
-// scheduler: per scheduler, each (preset, scale, seed) stream is
-// generated and encoded exactly once — the "mat" cell — and every
+// job's trace memo: per job, each (preset, scale, seed) stream is
+// generated and encoded at most once — the "mat" cell — and every
 // consumer replays it through its own cursor. Consolidation components
 // pass their effective seed (seed+7i), so a partner program shared by
-// several mixes is also generated once.
-func (o Options) materialized(s *runner.Scheduler, p workload.Preset, seed uint64) (*trace.Materialized, error) {
+// several mixes is also generated once. A result cell that job A runs
+// and job B awaits holds its trace under A's lease, captured with A's
+// Options.
+func (o Options) materialized(p workload.Preset, seed uint64) (*trace.Materialized, error) {
 	// With a persistent cache attached, the trace persists out of band
 	// through traceCodec: the cell's stored payload is the content digest
 	// of the LTCX file in the cache's traces tier, and revival mmaps the
 	// file back — each (preset, scale, seed) stream is generated once per
-	// machine, not once per process.
+	// machine, and that tier is how a trace reaches a job that starts after
+	// its last holder ended (traceMemo).
 	var codec runner.Codec
 	if o.Cache != nil {
 		codec = traceCodec{dir: o.Cache}
 	}
-	v, err := s.Do(o.ctx(), runner.Cell{
+	v, err := o.traces.do(o, runner.Cell{
 		Key:   fmt.Sprintf("mat|%s|scale%d|seed%d", p.Name, o.Scale, seed),
 		Codec: codec,
 		Run: func() (any, error) {
@@ -75,8 +92,8 @@ func (o Options) materialized(s *runner.Scheduler, p workload.Preset, seed uint6
 // source returns an independent zero-alloc replay cursor over the
 // preset's materialized trace: the Source every simulation cell consumes
 // instead of re-running the generators.
-func (o Options) source(s *runner.Scheduler, p workload.Preset) (trace.Source, error) {
-	m, err := o.materialized(s, p, o.seed())
+func (o Options) source(p workload.Preset) (trace.Source, error) {
+	m, err := o.materialized(p, o.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -86,11 +103,11 @@ func (o Options) source(s *runner.Scheduler, p workload.Preset) (trace.Source, e
 // consolCursors materializes every component program of a consolidation
 // mix (program i at seed+7i, as workload.Consolidate seeds them) and
 // returns one fresh cursor per component, in mix order.
-func (o Options) consolCursors(s *runner.Scheduler, progs []workload.ConsolProgram) ([]trace.Source, []uint64, error) {
+func (o Options) consolCursors(progs []workload.ConsolProgram) ([]trace.Source, []uint64, error) {
 	srcs := make([]trace.Source, len(progs))
 	quanta := make([]uint64, len(progs))
 	for i, p := range progs {
-		m, err := o.materialized(s, p.Preset, o.seed()+7*uint64(i))
+		m, err := o.materialized(p.Preset, o.seed()+7*uint64(i))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -141,10 +158,10 @@ type ltCov struct {
 }
 
 // ltCoverageCell runs LT-cords over one preset's trace.
-func (o Options) ltCoverageCell(s *runner.Scheduler, p workload.Preset, params core.Params, cfg sim.Config) runner.Task[ltCov] {
+func (o Options) ltCoverageCell(p workload.Preset, params core.Params, cfg sim.Config) runner.Task[ltCov] {
 	key := "cov|" + o.cellKey(p) + "|pf=lt{" + fp(params) + "}|" + cfg.Fingerprint()
 	return runner.Task[ltCov]{Key: key, Codec: resultCodec, Run: func() (ltCov, error) {
-		src, err := o.source(s, p)
+		src, err := o.source(p)
 		if err != nil {
 			return ltCov{}, err
 		}
@@ -158,10 +175,10 @@ func (o Options) ltCoverageCell(s *runner.Scheduler, p workload.Preset, params c
 }
 
 // dbcpCoverageCell runs a DBCP configuration over one preset's trace.
-func (o Options) dbcpCoverageCell(s *runner.Scheduler, p workload.Preset, params dbcp.Params, cfg sim.Config) runner.Task[sim.Coverage] {
+func (o Options) dbcpCoverageCell(p workload.Preset, params dbcp.Params, cfg sim.Config) runner.Task[sim.Coverage] {
 	key := "cov|" + o.cellKey(p) + "|pf=dbcp{" + fp(params) + "}|" + cfg.Fingerprint()
 	return runner.Task[sim.Coverage]{Key: key, Codec: resultCodec, Run: func() (sim.Coverage, error) {
-		src, err := o.source(s, p)
+		src, err := o.source(p)
 		if err != nil {
 			return sim.Coverage{}, err
 		}
@@ -172,10 +189,10 @@ func (o Options) dbcpCoverageCell(s *runner.Scheduler, p workload.Preset, params
 // corrCell runs the temporal-correlation analysis over one preset's trace
 // (shared by fig6left, fig6right and fig7). The Result's histograms are
 // cached and shared: consumers must not mutate them.
-func (o Options) corrCell(s *runner.Scheduler, p workload.Preset, cfg corr.Config) runner.Task[corr.Result] {
+func (o Options) corrCell(p workload.Preset, cfg corr.Config) runner.Task[corr.Result] {
 	key := "corr|" + o.cellKey(p) + "|cfg{" + fp(cfg) + "}"
 	return runner.Task[corr.Result]{Key: key, Codec: resultCodec, Run: func() (corr.Result, error) {
-		src, err := o.source(s, p)
+		src, err := o.source(p)
 		if err != nil {
 			return corr.Result{}, err
 		}
@@ -195,9 +212,9 @@ type timingRun struct {
 // instrs resolves a preset's committed instruction count (the timing
 // cells size their SMARTS warm-up region with it). The materialized
 // store accumulates stream statistics while encoding, so this costs a
-// map lookup — the seed-era dedicated counting pass per preset is gone.
-func (o Options) instrs(s *runner.Scheduler, p workload.Preset) (uint64, error) {
-	m, err := o.materialized(s, p, o.seed())
+// memo lookup — the seed-era dedicated counting pass per preset is gone.
+func (o Options) instrs(p workload.Preset) (uint64, error) {
+	m, err := o.materialized(p, o.seed())
 	if err != nil {
 		return 0, err
 	}
@@ -210,13 +227,13 @@ func (o Options) instrs(s *runner.Scheduler, p workload.Preset) (uint64, error) 
 // warm-up-then-measure methodology; speedup comparisons use
 // Result.MeasuredCycles. WarmupInstrs and DeadTimes are derived inside
 // the cell, so they are excluded from the key.
-func (o Options) timingCell(s *runner.Scheduler, p workload.Preset, spec pfSpec, params cpu.Params, l1, l2 cache.Config) runner.Task[timingRun] {
+func (o Options) timingCell(p workload.Preset, spec pfSpec, params cpu.Params, l1, l2 cache.Config) runner.Task[timingRun] {
 	kp := params
 	kp.WarmupInstrs = 0
 	kp.DeadTimes = nil
 	key := "timing|" + o.cellKey(p) + "|core{" + fp(kp) + "}|l1{" + l1.Fingerprint() + "}|l2{" + l2.Fingerprint() + "}|pf=" + spec.fp
 	return runner.Task[timingRun]{Key: key, Codec: resultCodec, Run: func() (timingRun, error) {
-		total, err := o.instrs(s, p)
+		total, err := o.instrs(p)
 		if err != nil {
 			return timingRun{}, err
 		}
@@ -227,7 +244,7 @@ func (o Options) timingCell(s *runner.Scheduler, p workload.Preset, spec pfSpec,
 		if err != nil {
 			return timingRun{}, err
 		}
-		src, err := o.source(s, p)
+		src, err := o.source(p)
 		if err != nil {
 			return timingRun{}, err
 		}
@@ -238,8 +255,8 @@ func (o Options) timingCell(s *runner.Scheduler, p workload.Preset, spec pfSpec,
 
 // baselineTimingCell is the no-prefetch timing run shared by fig2, table2
 // and table3.
-func (o Options) baselineTimingCell(s *runner.Scheduler, p workload.Preset) runner.Task[timingRun] {
-	return o.timingCell(s, p, nullPF(), timingParams(p), cache.Config{}, cache.Config{})
+func (o Options) baselineTimingCell(p workload.Preset) runner.Task[timingRun] {
+	return o.timingCell(p, nullPF(), timingParams(p), cache.Config{}, cache.Config{})
 }
 
 // missRates is the result of a trace-driven miss-rate cell (table2).
@@ -249,7 +266,7 @@ type missRates struct {
 
 // missRateCell drives one preset's trace through an L1/L2 pair and
 // reports the miss rates.
-func (o Options) missRateCell(s *runner.Scheduler, p workload.Preset, l1cfg, l2cfg cache.Config) runner.Task[missRates] {
+func (o Options) missRateCell(p workload.Preset, l1cfg, l2cfg cache.Config) runner.Task[missRates] {
 	key := "missrate|" + o.cellKey(p) + "|l1{" + l1cfg.Fingerprint() + "}|l2{" + l2cfg.Fingerprint() + "}"
 	return runner.Task[missRates]{Key: key, Codec: resultCodec, Run: func() (missRates, error) {
 		l1, err := cache.New(l1cfg)
@@ -263,7 +280,7 @@ func (o Options) missRateCell(s *runner.Scheduler, p workload.Preset, l1cfg, l2c
 		// Batch pump: the L1 filters whole reference batches, the L2 sees
 		// the compacted L1-miss stream; only the aggregate Stats are
 		// consumed, so the results-free batch path applies to both levels.
-		src, err := o.source(s, p)
+		src, err := o.source(p)
 		if err != nil {
 			return missRates{}, err
 		}
@@ -299,10 +316,10 @@ func (o Options) missRateCell(s *runner.Scheduler, p workload.Preset, l1cfg, l2c
 // on one core with shared caches and shared predictor state (fig11): the
 // N=2 consolidation stream (partner shifted to a disjoint physical range
 // and tagged with context 1) driven through the monolithic coverage run.
-func (o Options) mixedCoverageCell(s *runner.Scheduler, subject, partner workload.Preset, qSubj, qPart uint64, params core.Params) runner.Task[sim.Coverage] {
+func (o Options) mixedCoverageCell(subject, partner workload.Preset, qSubj, qPart uint64, params core.Params) runner.Task[sim.Coverage] {
 	key := fmt.Sprintf("mixcov|%s|%s+%s|q%d/%d|pf=lt{%s}", o.cellKey(subject), subject.Name, partner.Name, qSubj, qPart, fp(params))
 	return runner.Task[sim.Coverage]{Key: key, Codec: resultCodec, Run: func() (sim.Coverage, error) {
-		srcs, quanta, err := o.consolCursors(s, []workload.ConsolProgram{
+		srcs, quanta, err := o.consolCursors([]workload.ConsolProgram{
 			{Preset: subject, Quantum: qSubj},
 			{Preset: partner, Quantum: qPart},
 		})
@@ -326,12 +343,12 @@ func (o Options) mixedCoverageCell(s *runner.Scheduler, subject, partner workloa
 // reproduces the serial sharded run byte for byte. The key carries
 // neither the quantum nor the mix: a context shared by several mixes
 // (the consolidation mixes are prefixes of each other) simulates once.
-func (o Options) shardCoverageCell(s *runner.Scheduler, p workload.Preset, ctx int, params core.Params, cfg sim.Config) runner.Task[sim.Coverage] {
+func (o Options) shardCoverageCell(p workload.Preset, ctx int, params core.Params, cfg sim.Config) runner.Task[sim.Coverage] {
 	seed := o.seed() + 7*uint64(ctx)
 	key := fmt.Sprintf("covshard|%s|scale%d|seed%d|ctx%d|pf=lt{%s}|%s",
 		p.Name, o.Scale, seed, ctx, fp(params), cfg.Fingerprint())
 	return runner.Task[sim.Coverage]{Key: key, Codec: resultCodec, Run: func() (sim.Coverage, error) {
-		m, err := o.materialized(s, p, seed)
+		m, err := o.materialized(p, seed)
 		if err != nil {
 			return sim.Coverage{}, err
 		}
@@ -370,7 +387,7 @@ func (o Options) consolCoverageCell(s *runner.Scheduler, progs []workload.Consol
 		if !shared {
 			tasks := make([]runner.Task[sim.Coverage], len(progs))
 			for i, p := range progs {
-				tasks[i] = o.shardCoverageCell(s, p.Preset, i, params, sim.Config{})
+				tasks[i] = o.shardCoverageCell(p.Preset, i, params, sim.Config{})
 			}
 			covs, err := runner.AllNested(o.ctx(), s, tasks, o.workers())
 			if err != nil {
@@ -378,7 +395,7 @@ func (o Options) consolCoverageCell(s *runner.Scheduler, progs []workload.Consol
 			}
 			return sim.MergeShards(covs), nil
 		}
-		srcs, quanta, err := o.consolCursors(s, progs)
+		srcs, quanta, err := o.consolCursors(progs)
 		if err != nil {
 			return sim.ShardedCoverage{}, err
 		}
@@ -403,10 +420,10 @@ func (o Options) consolCoverageCell(s *runner.Scheduler, progs []workload.Consol
 // rewritten to its decile, min(i/bucket, 9). A standalone predictor and the
 // single-hierarchy driver use Ctx only to split the classification, so
 // Coverage.Ctx(d) is decile d's share and the totals equal the plain run's.
-func (o Options) decileCell(s *runner.Scheduler, p workload.Preset, params core.Params) runner.Task[sim.Coverage] {
+func (o Options) decileCell(p workload.Preset, params core.Params) runner.Task[sim.Coverage] {
 	key := "decile|" + o.cellKey(p) + "|pf=lt{" + fp(params) + "}"
 	return runner.Task[sim.Coverage]{Key: key, Codec: resultCodec, Run: func() (sim.Coverage, error) {
-		m, err := o.materialized(s, p, o.seed())
+		m, err := o.materialized(p, o.seed())
 		if err != nil {
 			return sim.Coverage{}, err
 		}

@@ -27,7 +27,7 @@ func runConvergence(o Options) (*Report, error) {
 	s := o.sched()
 	tasks := make([]runner.Task[sim.Coverage], len(ps))
 	for i, p := range ps {
-		tasks[i] = o.decileCell(s, p, core.DefaultParams())
+		tasks[i] = o.decileCell(p, core.DefaultParams())
 	}
 	res, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {

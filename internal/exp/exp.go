@@ -60,13 +60,21 @@ type Options struct {
 	// simulated once). When nil, each Run builds its own. A caller that
 	// supplies both Runner and Cache must attach the cache itself
 	// (Scheduler.SetStore) — sched only wires the two together for
-	// schedulers it creates.
+	// schedulers it creates. Runner memoizes results, not traces: a trace
+	// lives in the trace memo of the jobs running on Runner (see traces),
+	// so it is freed when the last job using it ends and reaches a later
+	// job only through Cache's traces tier.
 	Runner *runner.Scheduler
 	// Cache, when non-nil, is the persistent cell/trace cache
 	// (exp.OpenCache): cell results revive across process restarts and
 	// preset traces materialize once per machine. The in-memory scheduler
 	// cache becomes a write-through L1 over it.
 	Cache *cachedir.Dir
+
+	// traces is the job's lease on its trace memo (leaseTraces), through
+	// which its "mat" cells run. RunJob opens one per job; Run opens one
+	// per call when it is nil.
+	traces *traceLease
 }
 
 // sched resolves the cell scheduler for a run.
@@ -221,6 +229,10 @@ func Run(id string, o Options) (*Report, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, IDs())
+	}
+	if o.traces == nil {
+		o.traces = leaseTraces(o.Runner, o.Cache)
+		defer o.traces.release()
 	}
 	return r(o)
 }

@@ -196,13 +196,14 @@ func TestConvergenceQuick(t *testing.T) {
 // of Opportunity and Correct equal fig8's LT-cords cell.
 func TestConvergenceMatchesFig8(t *testing.T) {
 	p, _ := workload.ByName("em3d")
-	o := Options{Scale: workload.Small}
 	s := runner.New(0)
-	dec, err := runner.All(context.Background(), s, []runner.Task[sim.Coverage]{o.decileCell(s, p, core.DefaultParams())})
+	o := Options{Scale: workload.Small, traces: leaseTraces(s, nil)}
+	defer o.traces.release()
+	dec, err := runner.All(context.Background(), s, []runner.Task[sim.Coverage]{o.decileCell(p, core.DefaultParams())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig8, err := runner.All(context.Background(), s, []runner.Task[ltCov]{o.ltCoverageCell(s, p, core.DefaultParams(), sim.Config{})})
+	fig8, err := runner.All(context.Background(), s, []runner.Task[ltCov]{o.ltCoverageCell(p, core.DefaultParams(), sim.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}

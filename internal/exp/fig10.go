@@ -35,7 +35,7 @@ func runFig10(o Options) (*Report, error) {
 			params := core.DefaultParams()
 			params.Frames = frames
 			params.FragmentSigs = 2048
-			tasks = append(tasks, o.ltCoverageCell(s, p, params, sim.Config{}))
+			tasks = append(tasks, o.ltCoverageCell(p, params, sim.Config{}))
 		}
 	}
 	res, err := runner.All(o.ctx(), s, tasks)

@@ -72,7 +72,7 @@ func runFig11(o Options) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("fig11: missing preset %s", name)
 		}
-		soloTasks = append(soloTasks, o.ltCoverageCell(s, subject, core.DefaultParams(), sim.Config{}))
+		soloTasks = append(soloTasks, o.ltCoverageCell(subject, core.DefaultParams(), sim.Config{}))
 		for _, partnerName := range fig11Pairs[name] {
 			partner, ok := workload.ByName(partnerName)
 			if !ok {
@@ -80,7 +80,7 @@ func runFig11(o Options) (*Report, error) {
 			}
 			pairs = append(pairs, pairing{subject, partner})
 			mixTasks = append(mixTasks,
-				o.mixedCoverageCell(s, subject, partner, quantum(subject), quantum(partner), core.DefaultParams()))
+				o.mixedCoverageCell(subject, partner, quantum(subject), quantum(partner), core.DefaultParams()))
 		}
 	}
 	soloRes, mixRes, err := runner.All2(o.ctx(), s, soloTasks, mixTasks)

@@ -28,7 +28,7 @@ func runFig12(o Options) (*Report, error) {
 	s := o.sched()
 	tasks := make([]runner.Task[timingRun], len(ps))
 	for i, p := range ps {
-		tasks[i] = o.timingCell(s, p, ltPF(core.DefaultParams()),
+		tasks[i] = o.timingCell(p, ltPF(core.DefaultParams()),
 			timingParams(p), cache.Config{}, cache.Config{})
 	}
 	runs, err := runner.All(o.ctx(), s, tasks)

@@ -24,7 +24,7 @@ func runFig2(o Options) (*Report, error) {
 	s := o.sched()
 	tasks := make([]runner.Task[timingRun], len(ps))
 	for i, p := range ps {
-		tasks[i] = o.baselineTimingCell(s, p)
+		tasks[i] = o.baselineTimingCell(p)
 	}
 	runs, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {

@@ -34,11 +34,11 @@ func runFig4(o Options) (*Report, error) {
 	stride := 1 + len(fig4Sizes)
 	tasks := make([]runner.Task[sim.Coverage], 0, len(ps)*stride)
 	for _, p := range ps {
-		tasks = append(tasks, o.dbcpCoverageCell(s, p, dbcp.UnlimitedParams(), sim.Config{}))
+		tasks = append(tasks, o.dbcpCoverageCell(p, dbcp.UnlimitedParams(), sim.Config{}))
 		for _, size := range fig4Sizes {
 			pp := dbcp.DefaultParams()
 			pp.TableBytes = size
-			tasks = append(tasks, o.dbcpCoverageCell(s, p, pp, sim.Config{}))
+			tasks = append(tasks, o.dbcpCoverageCell(p, pp, sim.Config{}))
 		}
 	}
 	covs, err := runner.All(o.ctx(), s, tasks)

@@ -24,7 +24,7 @@ func analyzeAll(o Options) (map[string]corr.Result, []string, error) {
 	s := o.sched()
 	tasks := make([]runner.Task[corr.Result], len(ps))
 	for i, p := range ps {
-		tasks[i] = o.corrCell(s, p, corr.Config{})
+		tasks[i] = o.corrCell(p, corr.Config{})
 	}
 	res, err := runner.All(o.ctx(), s, tasks)
 	if err != nil {

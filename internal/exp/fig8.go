@@ -29,8 +29,8 @@ func runFig8(o Options) (*Report, error) {
 	ltTasks := make([]runner.Task[ltCov], len(ps))
 	orTasks := make([]runner.Task[sim.Coverage], len(ps))
 	for i, p := range ps {
-		ltTasks[i] = o.ltCoverageCell(s, p, core.DefaultParams(), sim.Config{})
-		orTasks[i] = o.dbcpCoverageCell(s, p, dbcp.UnlimitedParams(), sim.Config{})
+		ltTasks[i] = o.ltCoverageCell(p, core.DefaultParams(), sim.Config{})
+		orTasks[i] = o.dbcpCoverageCell(p, dbcp.UnlimitedParams(), sim.Config{})
 	}
 	ltRes, orRes, err := runner.All2(o.ctx(), s, ltTasks, orTasks)
 	if err != nil {

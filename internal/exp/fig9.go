@@ -47,7 +47,7 @@ func runFig9(o Options) (*Report, error) {
 	tasks := make([]runner.Task[ltCov], 0, len(ps)*len(fig9Sizes))
 	for _, p := range ps {
 		for _, n := range fig9Sizes {
-			tasks = append(tasks, o.ltCoverageCell(s, p, fig9Params(n), sim.Config{}))
+			tasks = append(tasks, o.ltCoverageCell(p, fig9Params(n), sim.Config{}))
 		}
 	}
 	res, err := runner.All(o.ctx(), s, tasks)

@@ -91,7 +91,9 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 // job-scoped scheduler and cache counter deltas (on a shared daemon
 // scheduler the absolute counters span every job ever run, so per-job
 // accounting — "this submission executed zero simulations" — needs the
-// before/after difference).
+// before/after difference). Stats counts the result cells on the shared
+// scheduler plus the "mat" cells of the job's trace memo; like the
+// former, the latter is shared with the jobs running beside it.
 type JobResult struct {
 	Spec        JobSpec            `json:"spec"`
 	Parallelism int                `json:"parallelism"`
@@ -110,7 +112,9 @@ type JobResult struct {
 // the result carries the reports plus this job's scheduler/cache
 // counter deltas. The caller owns wiring sched to spec.Cache
 // (Scheduler.SetStore) — both cmd/ltexp and the daemon do it once at
-// startup.
+// startup. The job holds its traces in the trace memo of the jobs
+// running on sched (traceMemo), so a trace is freed when the last job
+// using it ends; sched keeps only results.
 func RunJob(ctx context.Context, spec JobSpec, sched *runner.Scheduler) (*JobResult, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -129,8 +133,10 @@ func RunJob(ctx context.Context, spec JobSpec, sched *runner.Scheduler) (*JobRes
 		Runner:     sched,
 		Cache:      spec.Cache,
 		Progress:   spec.Progress,
+		traces:     leaseTraces(sched, spec.Cache),
 	}
-	before := sched.Stats()
+	defer opts.traces.release()
+	before, tracesBefore := sched.Stats(), opts.traces.stats()
 	cacheBefore := spec.Cache.Counters()
 	res := &JobResult{
 		Spec:        spec,
@@ -148,23 +154,12 @@ func RunJob(ctx context.Context, spec JobSpec, sched *runner.Scheduler) (*JobRes
 		}
 		res.Reports = append(res.Reports, rep)
 	}
-	res.Stats = statsDelta(sched.Stats(), before)
+	res.Stats = sched.Stats().Sub(before).Add(opts.traces.stats().Sub(tracesBefore))
 	if spec.Cache != nil {
 		cc := countersDelta(spec.Cache.Counters(), cacheBefore)
 		res.Cache = &cc
 	}
 	return res, nil
-}
-
-// statsDelta subtracts two scheduler counter snapshots fieldwise.
-func statsDelta(after, before runner.Stats) runner.Stats {
-	return runner.Stats{
-		Submitted: after.Submitted - before.Submitted,
-		Executed:  after.Executed - before.Executed,
-		Hits:      after.Hits - before.Hits,
-		DiskHits:  after.DiskHits - before.DiskHits,
-		Persisted: after.Persisted - before.Persisted,
-	}
 }
 
 // countersDelta subtracts two cache counter snapshots fieldwise.

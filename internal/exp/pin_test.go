@@ -80,8 +80,9 @@ func firstDiff(got, want []byte, first int) string {
 // prints — and requires those bytes to equal EXPERIMENTS.md's fenced
 // block. The block is the serial reference, so the same run checks that
 // every report is deterministic across cell and intra-run parallelism. It
-// also holds the scheduler's acceptance bar: across the run the shared
-// cell cache eliminates at least 30% of simulations.
+// also holds the scheduler's acceptance bar: across the run the job's
+// cells — results on the shared scheduler plus traces in the job's memo
+// (JobResult.Stats) — are at least 30% eliminated.
 func TestCellCacheFullAllRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full -exp all run is not short")
@@ -101,7 +102,7 @@ func TestCellCacheFullAllRun(t *testing.T) {
 			"if the change is intended, re-pin with `make experiments` and update pinnedSHA256",
 			got.Len(), len(want), firstDiff(got.Bytes(), want, first))
 	}
-	st := s.Stats()
+	st := res.Stats
 	if st.Submitted != st.Executed+st.Hits {
 		t.Errorf("inconsistent stats: %+v", st)
 	}

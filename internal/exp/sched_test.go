@@ -42,50 +42,67 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestCellCacheCrossFigure asserts the cross-figure cache: figures that
 // share cells reuse them, and re-running a figure on a warm scheduler
-// performs zero new simulations.
+// performs zero new simulations. Traces are not shared that way: a trace
+// memo forgets a trace when the last job holding it ends, so runs that
+// follow one another each generate each preset once.
 func TestCellCacheCrossFigure(t *testing.T) {
 	s := runner.New(4)
 	o := Options{Scale: workload.Small, Benchmarks: []string{"swim", "mcf"}, Runner: s}
+	// run runs one experiment under a trace lease the test can read.
+	run := func(id string) runner.Stats {
+		t.Helper()
+		o := o
+		o.traces = leaseTraces(s, nil)
+		defer o.traces.release()
+		if _, err := Run(id, o); err != nil {
+			t.Fatal(err)
+		}
+		return o.traces.stats()
+	}
 
 	// fig8 on two benchmarks: 4 analysis cells (2 LT + 2 oracle), each
-	// nesting a materialization submission — the 2 "mat" cells execute
-	// once and the other 2 submissions hit them, so both analyses of one
-	// preset replay a single generation pass.
-	if _, err := Run("fig8", o); err != nil {
-		t.Fatal(err)
-	}
+	// nesting a materialization submission in the run's trace memo — the
+	// 2 "mat" cells execute once and the other 2 submissions hit them, so
+	// both analyses of one preset replay a single generation pass.
+	tr := run("fig8")
 	st1 := s.Stats()
-	if st1.Submitted != 8 || st1.Executed != 6 || st1.Hits != 2 {
-		t.Fatalf("fig8 stats = %+v want 8 submitted (4 analyses + 4 nested mat), 6 executed, 2 mat hits", st1)
+	if st1.Submitted != 4 || st1.Executed != 4 || st1.Hits != 0 {
+		t.Fatalf("fig8 stats = %+v want 4 analyses submitted and executed", st1)
+	}
+	if tr.Submitted != 4 || tr.Executed != 2 || tr.Hits != 2 {
+		t.Fatalf("fig8 trace memo = %+v want 4 mat submissions, 2 executed, 2 hits", tr)
 	}
 
 	// fig4 normalizes against the same unlimited-DBCP oracle runs fig8
-	// used: those cells must be served from the cache, and every newly
-	// executed cell must replay the already-materialized traces. That is
-	// 16 analysis submissions (2 presets x (1 unlimited + 7 sizes)) of
-	// which the 2 oracle cells hit, plus 14 nested mat submissions from
-	// the executing cells — all hits.
-	if _, err := Run("fig4", o); err != nil {
-		t.Fatal(err)
-	}
+	// used: those cells must be served from the cache. That is 16
+	// analysis submissions (2 presets x (1 unlimited + 7 sizes)) of which
+	// the 2 oracle cells hit. Its 14 executing cells nest 14 mat
+	// submissions in a fresh memo: fig8's traces went with its Run, so
+	// each preset materializes once more and the other 12 hit.
+	tr = run("fig4")
 	st2 := s.Stats()
 	if executed := st2.Executed - st1.Executed; executed != 14 {
-		t.Errorf("fig4 executed %d new cells, want 14 (oracle runs and all traces cached)", executed)
+		t.Errorf("fig4 executed %d new cells, want 14 (oracle runs cached)", executed)
 	}
-	if reused := st2.Hits - st1.Hits; reused != 16 {
-		t.Errorf("fig4 reused %d cells, want 16 (2 oracle runs + 14 materializations)", reused)
+	if reused := st2.Hits - st1.Hits; reused != 2 {
+		t.Errorf("fig4 reused %d cells, want the 2 oracle runs", reused)
+	}
+	if tr.Submitted != 14 || tr.Executed != 2 || tr.Hits != 12 {
+		t.Errorf("fig4 trace memo = %+v want 14 mat submissions, 2 executed, 12 hits", tr)
 	}
 
-	// A second fig8 run on the warm scheduler simulates nothing new.
-	if _, err := Run("fig8", o); err != nil {
-		t.Fatal(err)
-	}
+	// A second fig8 run on the warm scheduler simulates nothing new, so
+	// it materializes nothing either.
+	tr = run("fig8")
 	st3 := s.Stats()
 	if st3.Executed != st2.Executed {
 		t.Errorf("second fig8 run simulated %d new cells, want 0", st3.Executed-st2.Executed)
 	}
 	if st3.Hits != st2.Hits+4 {
 		t.Errorf("second fig8 run hit %d cells, want all 4", st3.Hits-st2.Hits)
+	}
+	if tr.Submitted != 0 {
+		t.Errorf("second fig8 run submitted %d mat cells, want 0", tr.Submitted)
 	}
 }
 

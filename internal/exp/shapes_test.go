@@ -8,7 +8,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dbcp"
 	"repro/internal/ghb"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -86,11 +85,13 @@ func TestPaperShapes(t *testing.T) {
 	t.Run("SpeedupOrderingOnMcf", func(t *testing.T) {
 		// Table 3's marquee row: mcf. Perfect L1 >> LT-cords >> GHB ~ 0.
 		p, _ := workload.ByName("mcf")
-		s := runner.New(1)
+		o := o
+		o.traces = leaseTraces(nil, nil)
+		defer o.traces.release()
 		run := func(pf sim.Prefetcher, perfect bool) cpu.Result {
 			params := timingParams(p)
 			params.PerfectL1 = perfect
-			total, err := o.instrs(s, p)
+			total, err := o.instrs(p)
 			if err != nil {
 				t.Fatal(err)
 			}

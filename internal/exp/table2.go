@@ -20,8 +20,8 @@ func runTable2(o Options) (*Report, error) {
 	missTasks := make([]runner.Task[missRates], len(ps))
 	timingTasks := make([]runner.Task[timingRun], len(ps))
 	for i, p := range ps {
-		missTasks[i] = o.missRateCell(s, p, sim.PaperL1D(), sim.PaperL2())
-		timingTasks[i] = o.baselineTimingCell(s, p)
+		missTasks[i] = o.missRateCell(p, sim.PaperL1D(), sim.PaperL2())
+		timingTasks[i] = o.baselineTimingCell(p)
 	}
 	misses, runs, err := runner.All2(o.ctx(), s, missTasks, timingTasks)
 	if err != nil {

@@ -52,7 +52,7 @@ func runTable3(o Options) (*Report, error) {
 	stride := 1 + len(cfgs)
 	tasks := make([]runner.Task[timingRun], 0, len(ps)*stride)
 	for _, p := range ps {
-		tasks = append(tasks, o.baselineTimingCell(s, p))
+		tasks = append(tasks, o.baselineTimingCell(p))
 		for _, c := range cfgs {
 			params := timingParams(p)
 			params.PerfectL1 = c.perf
@@ -60,7 +60,7 @@ func runTable3(o Options) (*Report, error) {
 			if c.l2 != nil {
 				l2cfg = c.l2()
 			}
-			tasks = append(tasks, o.timingCell(s, p, c.pf, params, cache.Config{}, l2cfg))
+			tasks = append(tasks, o.timingCell(p, c.pf, params, cache.Config{}, l2cfg))
 		}
 	}
 	runs, err := runner.All(o.ctx(), s, tasks)

@@ -108,6 +108,30 @@ type Stats struct {
 	Persisted uint64 `json:"persisted,omitempty"`
 }
 
+// Sub returns the fieldwise difference s - before: the traffic between
+// two snapshots of one scheduler's monotonic counters.
+func (s Stats) Sub(before Stats) Stats {
+	return Stats{
+		Submitted: s.Submitted - before.Submitted,
+		Executed:  s.Executed - before.Executed,
+		Hits:      s.Hits - before.Hits,
+		DiskHits:  s.DiskHits - before.DiskHits,
+		Persisted: s.Persisted - before.Persisted,
+	}
+}
+
+// Add returns the fieldwise sum of two counter sets, e.g. of two
+// schedulers that served one job.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Submitted: s.Submitted + o.Submitted,
+		Executed:  s.Executed + o.Executed,
+		Hits:      s.Hits + o.Hits,
+		DiskHits:  s.DiskHits + o.DiskHits,
+		Persisted: s.Persisted + o.Persisted,
+	}
+}
+
 // HitRate returns the fraction of submitted cells eliminated by either
 // cache tier (in-memory or persistent).
 func (s Stats) HitRate() float64 {
@@ -177,6 +201,13 @@ func (s *Scheduler) acquire(ctx context.Context, w int) (int, error) {
 	if w > s.workers {
 		w = s.workers
 	}
+	s.admitMu.Lock()
+	if s.avail >= w { // no wait, so nothing for the context to wake
+		s.avail -= w
+		s.admitMu.Unlock()
+		return w, nil
+	}
+	s.admitMu.Unlock()
 	// Wake our cond wait when the context fires; Broadcast is cheap and
 	// spurious wakeups are already part of the cond contract.
 	stop := context.AfterFunc(ctx, func() { s.admit.Broadcast() })
@@ -274,7 +305,7 @@ func (s *Scheduler) Do(ctx context.Context, c Cell) (any, error) {
 		// Cancelled between submission and start: un-publish so the key
 		// stays computable, and fail only the waiters (they recheck their
 		// own contexts above).
-		s.unpublish(c.Key)
+		s.Forget(c.Key)
 		e.err = err
 		close(e.done)
 		return nil, err
@@ -295,7 +326,7 @@ func (s *Scheduler) Do(ctx context.Context, c Cell) (any, error) {
 			// result: un-publish so it is never memoized. Current waiters
 			// see the error once (a live waiter retries a cancellation); a
 			// later submission of the key recomputes.
-			s.unpublish(c.Key)
+			s.Forget(c.Key)
 		}
 		if e.err == nil && s.persist(c, e.val) {
 			s.count(func(st *Stats) { st.Persisted++ })
@@ -305,8 +336,11 @@ func (s *Scheduler) Do(ctx context.Context, c Cell) (any, error) {
 	return e.val, e.err
 }
 
-// unpublish removes key's entry from the memo map.
-func (s *Scheduler) unpublish(key string) {
+// Forget removes key's entry from the memo map, so its value can be
+// collected; a later submission of key computes it again (or revives it
+// from the store). A cell in flight under key still completes for the
+// submissions already waiting on it.
+func (s *Scheduler) Forget(key string) {
 	s.mu.Lock()
 	delete(s.cells, key)
 	s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/buildinfo"
@@ -178,9 +179,32 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	res.RenderText(w)
 }
 
-// handleStats reports the daemon-wide view: cumulative scheduler
-// counters, persistent-cache counters and size, and the job table
-// tally.
+// RuntimeStats is the Go runtime's memory view in /v1/stats, read from
+// runtime/metrics: the heap the last collection found live, the heap
+// size the next collection is due at, collections so far, and the bytes
+// allocated since the daemon started.
+type RuntimeStats struct {
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+	GCCycles      uint64 `json:"gc_cycles"`
+	AllocBytes    uint64 `json:"alloc_bytes"`
+}
+
+func readRuntimeStats() RuntimeStats {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/gc/heap/allocs:bytes"},
+	}
+	metrics.Read(s)
+	return RuntimeStats{s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64(), s[3].Value.Uint64()}
+}
+
+// handleStats reports the daemon-wide view: the shared scheduler's
+// cumulative result-cell counters (trace cells live in each job's memo
+// and count only in that job's status), persistent-cache counters and
+// size, the job table tally, and the runtime's memory view.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var cc *cachedir.Counters
 	var size int64
@@ -196,7 +220,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheBytes  int64              `json:"cache_bytes,omitempty"`
 		Jobs        map[JobState]int   `json:"jobs"`
 		UptimeSec   float64            `json:"uptime_s"`
-	}{s.cfg.Sched.Stats(), s.cfg.Sched.Parallelism(), cc, size, s.mgr.CountByState(), s.Uptime().Seconds()})
+		Runtime     RuntimeStats       `json:"runtime"`
+	}{s.cfg.Sched.Stats(), s.cfg.Sched.Parallelism(), cc, size, s.mgr.CountByState(), s.Uptime().Seconds(), readRuntimeStats()})
 }
 
 // handleHealthz is the liveness probe: identity, uptime, and the

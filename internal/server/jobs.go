@@ -259,9 +259,12 @@ func (m *Manager) pruneLocked() {
 		return
 	}
 	kept := m.order[:0]
-	for _, id := range m.order {
-		j := m.jobs[id]
-		if excess > 0 && j != nil && j.State().Terminal() {
+	for i, id := range m.order {
+		if excess == 0 { // the rest stays: no need to look it up
+			kept = append(kept, m.order[i:]...)
+			break
+		}
+		if j := m.jobs[id]; j != nil && j.State().Terminal() {
 			delete(m.jobs, id)
 			excess--
 			continue
@@ -311,14 +314,9 @@ func (j *Job) Status(sched *runner.Scheduler) JobStatus {
 		st.Cells = &cells
 		st.Cache = j.result.Cache
 	case j.state == JobRunning && sched != nil:
-		now := sched.Stats()
-		live := runner.Stats{
-			Submitted: now.Submitted - j.statsBefore.Submitted,
-			Executed:  now.Executed - j.statsBefore.Executed,
-			Hits:      now.Hits - j.statsBefore.Hits,
-			DiskHits:  now.DiskHits - j.statsBefore.DiskHits,
-			Persisted: now.Persisted - j.statsBefore.Persisted,
-		}
+		// Result cells only: the job's trace memo joins its counts when
+		// the job finishes.
+		live := sched.Stats().Sub(j.statsBefore)
 		st.Cells = &live
 	}
 	return st

@@ -10,6 +10,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -471,12 +473,18 @@ func TestStatsEndpoint(t *testing.T) {
 		Parallelism int             `json:"parallelism"`
 		Jobs        map[string]int  `json:"jobs"`
 		Cache       *map[string]any `json:"cache"`
+		Runtime     RuntimeStats    `json:"runtime"`
 	}
+	runtime.GC()
 	if rec := doJSON(t, s.Handler(), "GET", "/v1/stats", nil, &stats); rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d", rec.Code)
 	}
 	if stats.Parallelism < 1 || stats.Jobs["done"] != 1 || stats.Cache == nil {
 		t.Fatalf("stats = %+v", stats)
+	}
+	if rt := stats.Runtime; rt.HeapLiveBytes == 0 || rt.HeapGoalBytes < rt.HeapLiveBytes ||
+		rt.GCCycles == 0 || rt.AllocBytes < rt.HeapLiveBytes {
+		t.Fatalf("runtime = %+v, want a live heap under its goal, at least one GC and allocs >= live", rt)
 	}
 }
 
@@ -533,5 +541,26 @@ func TestReportByteIdentity(t *testing.T) {
 	doJSON(t, s.Handler(), "GET", "/v1/jobs/"+st2.ID, nil, &got)
 	if got.Cells == nil || got.Cells.Executed != 0 || got.Cells.Hits == 0 {
 		t.Fatalf("resubmission cells = %+v, want 0 executed", got.Cells)
+	}
+}
+
+// TestPruneDropsOldestTerminal: beyond the retention bound the oldest
+// terminal job records go first, live records stay whatever their age,
+// and the kept records keep their submission order.
+func TestPruneDropsOldestTerminal(t *testing.T) {
+	m := &Manager{jobs: map[string]*Job{}, maxJobs: 3}
+	for _, j := range []struct {
+		id    string
+		state JobState
+	}{{"a", JobDone}, {"b", JobRunning}, {"c", JobFailed}, {"d", JobQueued}, {"e", JobCancelled}, {"f", JobDone}} {
+		m.jobs[j.id] = &Job{ID: j.id, state: j.state}
+		m.order = append(m.order, j.id)
+	}
+	m.pruneLocked()
+	if want := []string{"b", "d", "f"}; !slices.Equal(m.order, want) {
+		t.Errorf("order after prune = %v, want %v", m.order, want)
+	}
+	if len(m.jobs) != 3 || m.jobs["a"] != nil || m.jobs["c"] != nil || m.jobs["e"] != nil {
+		t.Errorf("jobs after prune = %v, want b, d and f", m.jobs)
 	}
 }

@@ -1,12 +1,14 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
 	"os"
+	"runtime"
 
 	"repro/internal/atomicfile"
 	"repro/internal/mem"
@@ -28,11 +30,14 @@ import (
 // concurrently with any number of siblings: the store is immutable
 // after Materialize, cursors carry all replay state.
 //
-// The store lives in memory by default (the encoded form costs a few
-// bytes per reference, 4-6x below []Ref). WriteFile persists it —
-// chunk index in the file header — and OpenStore maps the file back
-// via mmap, so multi-GB recorded traces replay at decode bandwidth
-// without heap churn. See DESIGN.md §10.
+// A store is its list of chunks. In memory, Materialize encodes each
+// chunk into one reused scratch buffer and copies it once into its own
+// exact-size slice, so the heap holds the encoded bytes (a few per
+// reference, 4-6x below []Ref) and little more. WriteFile persists the
+// store — chunk index in the file header — and OpenStore maps the file
+// back via mmap and slices the chunks out of the mapping, so multi-GB
+// recorded traces replay at decode bandwidth without heap churn. See
+// DESIGN.md §10.
 
 // DefaultRefsPerChunk is the references-per-chunk Materialize uses: 16K
 // references encode to ~64-96KB, large enough that the per-chunk delta
@@ -44,13 +49,12 @@ const DefaultRefsPerChunk = 1 << 14
 // delta-encoded chunks (the materialized-trace store). It is immutable
 // after construction: any number of Cursors may replay it concurrently.
 type Materialized struct {
-	data         []byte   // concatenated chunk records
-	offs         []uint64 // len Chunks()+1; chunk i is data[offs[i]:offs[i+1]]
+	chunks       [][]byte // chunk i's encoded records
 	refsPerChunk int
 	stats        Stats
 
-	mapped []byte   // whole-file mmap region backing data, when file-backed
-	f      *os.File // open file owning mapped
+	mapped  []byte          // whole-file mmap region the chunks alias, when file-backed
+	release runtime.Cleanup // unmaps mapped once the store is unreachable
 }
 
 // Materialize drains src into a new in-memory store using
@@ -68,12 +72,14 @@ func MaterializeChunked(src Source, refsPerChunk int) *Materialized {
 	if refsPerChunk <= 0 {
 		refsPerChunk = DefaultRefsPerChunk
 	}
-	m := &Materialized{refsPerChunk: refsPerChunk, offs: []uint64{0}}
+	m := &Materialized{refsPerChunk: refsPerChunk}
 	var (
 		buf      [DefaultBatch]Ref
 		prevPC   mem.Addr
 		prevAddr mem.Addr
 		inChunk  int
+		// One chunk's worst case, so appending records never regrows it.
+		scratch = make([]byte, 0, min(refsPerChunk, DefaultRefsPerChunk)*maxRecordBytes)
 	)
 	for {
 		n := src.ReadRefs(buf[:])
@@ -83,18 +89,18 @@ func MaterializeChunked(src Source, refsPerChunk int) *Materialized {
 		for i := range buf[:n] {
 			r := buf[i]
 			if inChunk == refsPerChunk {
-				m.offs = append(m.offs, uint64(len(m.data)))
+				m.chunks = append(m.chunks, bytes.Clone(scratch))
+				scratch = scratch[:0]
 				prevPC, prevAddr, inChunk = 0, 0, 0
 			}
-			m.data = appendRecord(m.data, r, prevPC, prevAddr)
+			scratch = appendRecord(scratch, r, prevPC, prevAddr)
 			prevPC, prevAddr = r.PC, r.Addr
 			inChunk++
 			m.stats.Observe(r)
 		}
 	}
-	m.offs = append(m.offs, uint64(len(m.data)))
-	if m.stats.Refs == 0 {
-		m.offs = m.offs[:1] // no chunks at all, not one empty chunk
+	if inChunk > 0 {
+		m.chunks = append(m.chunks, bytes.Clone(scratch))
 	}
 	return m
 }
@@ -155,26 +161,30 @@ func (m *Materialized) Stats() Stats { return m.stats }
 func (m *Materialized) Refs() uint64 { return m.stats.Refs }
 
 // Chunks returns the number of chunks in the index.
-func (m *Materialized) Chunks() int { return len(m.offs) - 1 }
+func (m *Materialized) Chunks() int { return len(m.chunks) }
 
 // RefsPerChunk returns the chunking interval (every chunk except the
 // last holds exactly this many references).
 func (m *Materialized) RefsPerChunk() int { return m.refsPerChunk }
 
 // Bytes returns the encoded size of the chunk data.
-func (m *Materialized) Bytes() int { return len(m.data) }
+func (m *Materialized) Bytes() int {
+	n := 0
+	for _, c := range m.chunks {
+		n += len(c)
+	}
+	return n
+}
 
 // Mapped reports whether the store replays from an mmap'd file rather
 // than heap memory.
 func (m *Materialized) Mapped() bool { return m.mapped != nil }
 
-// chunk returns chunk i's encoded records.
-func (m *Materialized) chunk(i int) []byte { return m.data[m.offs[i]:m.offs[i+1]] }
-
 // Cursor returns an independent replay reader positioned at the start of
 // the stream. Cursors are cheap (one small allocation, no buffering —
 // they decode straight out of the store) and any number may read
-// concurrently; each is single-goroutine like any Source.
+// concurrently; each is single-goroutine like any Source. A cursor holds
+// its store, so a live cursor keeps a mapped store's mapping alive.
 func (m *Materialized) Cursor() *Cursor { return &Cursor{m: m} }
 
 // Cursor replays a materialized trace. It implements Source; the replay
@@ -210,7 +220,7 @@ func (c *Cursor) ReadRefs(buf []Ref) int {
 			if c.chunk >= c.m.Chunks() || c.err != nil {
 				return n
 			}
-			c.data = c.m.chunk(c.chunk)
+			c.data = c.m.chunks[c.chunk]
 			c.chunk++
 			c.pos = 0
 			c.prevPC, c.prevAddr = 0, 0
@@ -371,7 +381,7 @@ const (
 
 // headerBytes renders the container header.
 func (m *Materialized) headerBytes() []byte {
-	h := make([]byte, 0, storeFixedHead+8*len(m.offs))
+	h := make([]byte, 0, storeFixedHead+8*(m.Chunks()+1))
 	h = append(h, storeMagic...)
 	h = append(h, storeVersion)
 	h = binary.LittleEndian.AppendUint32(h, uint32(m.refsPerChunk))
@@ -379,11 +389,11 @@ func (m *Materialized) headerBytes() []byte {
 		h = binary.LittleEndian.AppendUint64(h, v)
 	}
 	h = binary.LittleEndian.AppendUint32(h, uint32(m.Chunks()))
-	if m.Chunks() == 0 {
-		// A refless store still records the canonical offs[0]=0 entry.
-		return binary.LittleEndian.AppendUint64(h, 0)
-	}
-	for _, off := range m.offs {
+	// offs[0]=0, which a refless store records too, then each chunk's end.
+	h = binary.LittleEndian.AppendUint64(h, 0)
+	var off uint64
+	for _, c := range m.chunks {
+		off += uint64(len(c))
 		h = binary.LittleEndian.AppendUint64(h, off)
 	}
 	return h
@@ -393,13 +403,14 @@ func (m *Materialized) headerBytes() []byte {
 // chunk data — to w (the exact bytes WriteFile persists; the persistent
 // cache content-addresses stores by hashing this stream).
 func (m *Materialized) WriteTo(w io.Writer) (int64, error) {
-	h := m.headerBytes()
-	n, err := w.Write(h)
-	if err != nil {
-		return int64(n), err
+	defer runtime.KeepAlive(m) // the chunks may alias m's mapping
+	n, err := w.Write(m.headerBytes())
+	total := int64(n)
+	for i := 0; err == nil && i < len(m.chunks); i++ {
+		n, err = w.Write(m.chunks[i])
+		total += int64(n)
 	}
-	nd, err := w.Write(m.data)
-	return int64(n) + int64(nd), err
+	return total, err
 }
 
 // WriteFile persists the store to path, replacing any existing file. The
@@ -417,40 +428,39 @@ func (m *Materialized) WriteFile(path string) error {
 // OpenStore maps a store file written by WriteFile (or lttrace -out)
 // for replay. The chunk data is not copied onto the heap: on platforms
 // with mmap support the page cache backs it directly, so traces far
-// larger than memory replay at decode bandwidth. Close releases the
-// mapping.
+// larger than memory replay at decode bandwidth. The file is closed once
+// mapped; the mapping is released by Close or, failing that, once the
+// store and all its cursors are unreachable.
 func OpenStore(path string) (*Materialized, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close() // the mapping outlives the descriptor
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	size := fi.Size()
 	if size < storeFixedHead+8 {
-		f.Close()
 		return nil, fmt.Errorf("%w: store file too short (%d bytes)", ErrBadTrace, size)
 	}
 	raw, err := mmapFile(f, size)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("trace: mapping %s: %w", path, err)
 	}
 	m, err := parseStore(raw)
 	if err != nil {
 		munmap(raw)
-		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	m.mapped = raw
-	m.f = f
+	m.release = runtime.AddCleanup(m, func(raw []byte) { munmap(raw) }, raw)
 	return m, nil
 }
 
-// parseStore validates the container and aliases the store onto raw.
+// parseStore validates the container and slices the store's chunks out
+// of raw.
 func parseStore(raw []byte) (*Materialized, error) {
 	if string(raw[:4]) != storeMagic {
 		return nil, fmt.Errorf("%w: bad store magic %q", ErrBadTrace, raw[:4])
@@ -468,42 +478,37 @@ func parseStore(raw []byte) (*Materialized, error) {
 	if m.refsPerChunk <= 0 || m.refsPerChunk > storeMaxRefsPer {
 		return nil, fmt.Errorf("%w: implausible refs-per-chunk %d", ErrBadTrace, m.refsPerChunk)
 	}
-	nOffs := nChunks + 1
-	if nChunks == 0 {
-		nOffs = 1 // the canonical offs[0]=0 entry of an empty store
-	}
-	dataOff := storeFixedHead + 8*nOffs
-	if int64(len(raw)) < int64(dataOff) {
+	dataOff := storeFixedHead + 8*(int64(nChunks)+1)
+	if int64(len(raw)) < dataOff {
 		return nil, fmt.Errorf("%w: truncated chunk index (%d chunks)", ErrBadTrace, nChunks)
 	}
-	m.data = raw[dataOff:]
-	m.offs = make([]uint64, nOffs)
-	for i := range m.offs {
-		m.offs[i] = binary.LittleEndian.Uint64(raw[storeFixedHead+8*i:])
-		if i > 0 && m.offs[i] < m.offs[i-1] {
+	data := raw[dataOff:]
+	off := func(i int) uint64 { return binary.LittleEndian.Uint64(raw[storeFixedHead+8*i:]) }
+	if off(0) != 0 || off(nChunks) != uint64(len(data)) {
+		return nil, fmt.Errorf("%w: chunk index does not span the data section", ErrBadTrace)
+	}
+	if nChunks > 0 {
+		m.chunks = make([][]byte, nChunks)
+	}
+	for i := range m.chunks {
+		lo, hi := off(i), off(i+1)
+		if hi < lo || hi > uint64(len(data)) {
 			return nil, fmt.Errorf("%w: chunk index not monotonic", ErrBadTrace)
 		}
-	}
-	if m.offs[0] != 0 || m.offs[nOffs-1] != uint64(len(m.data)) {
-		return nil, fmt.Errorf("%w: chunk index does not span the data section", ErrBadTrace)
+		m.chunks[i] = data[lo:hi:hi]
 	}
 	return m, nil
 }
 
 // Close releases the file mapping of a store opened with OpenStore. It is
-// a no-op for in-memory stores. The store and any of its
-// cursors must not be used afterwards.
+// a no-op for in-memory stores. The store and any of its cursors must
+// not be used afterwards.
 func (m *Materialized) Close() error {
 	if m.mapped == nil {
 		return nil
 	}
+	m.release.Stop() // so the mapping is never unmapped twice
 	err := munmap(m.mapped)
-	m.mapped, m.data, m.offs = nil, nil, nil
-	if m.f != nil {
-		if cerr := m.f.Close(); err == nil {
-			err = cerr
-		}
-		m.f = nil
-	}
+	m.mapped, m.chunks = nil, nil
 	return err
 }

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 )
@@ -159,8 +161,11 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 		}
 		return p
 	}
-	good := Materialize(NewSliceSource(randRefs(1, 100)))
-	raw := append(good.headerBytes(), good.data...)
+	var file bytes.Buffer
+	if _, err := Materialize(NewSliceSource(randRefs(1, 100))).WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	raw := file.Bytes()
 
 	if _, err := OpenStore(write("short", []byte("LTCX"))); err == nil {
 		t.Error("want error for truncated file")
@@ -185,8 +190,12 @@ func TestOpenStoreRejectsGarbage(t *testing.T) {
 // header's reference count: the store opens, but a full replay fails.
 func TestCursorTruncatedRecord(t *testing.T) {
 	m := MaterializeChunked(NewSliceSource(randRefs(4, 100)), 64)
-	raw := append(m.headerBytes(), m.data[:len(m.data)-1]...)
-	binary.LittleEndian.PutUint64(raw[storeFixedHead+8*m.Chunks():], uint64(len(m.data)-1))
+	var file bytes.Buffer
+	if _, err := m.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	raw := file.Bytes()[:file.Len()-1]
+	binary.LittleEndian.PutUint64(raw[storeFixedHead+8*m.Chunks():], uint64(m.Bytes()-1))
 	path := filepath.Join(t.TempDir(), "cut.ltcx")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -243,6 +252,144 @@ func TestCursorReplayAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("replay allocated %.1f times per full pass, want 0", avg)
+	}
+}
+
+// TestMaterializeAllocatesOnce pins single-allocation materialization:
+// each chunk is encoded into one reused scratch buffer and copied once
+// into an exact-size slice, so one Materialize allocates little more
+// than the store's encoded bytes plus that scratch buffer. Appending
+// record by record into one growing slice allocated about 5x.
+func TestMaterializeAllocatesOnce(t *testing.T) {
+	refs := randRefs(6, 8*DefaultRefsPerChunk+100)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := Materialize(NewSliceSource(refs))
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	scratch := uint64(DefaultRefsPerChunk * maxRecordBytes)
+	if limit := uint64(1.1*float64(m.Bytes())) + scratch; alloc > limit {
+		t.Errorf("Materialize allocated %d bytes for a %d-byte store, want <= %d (1.1x plus one %d-byte chunk scratch)",
+			alloc, m.Bytes(), limit, scratch)
+	}
+}
+
+// mapsMention reports whether /proc/self/maps lists path, and whether
+// any of the process's open descriptors points at it.
+func mapsMention(t *testing.T, path string) (mapped, open bool) {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			open = true
+		}
+	}
+	return bytes.Contains(maps, []byte(path)), open
+}
+
+// writeStore materializes refs into a store file and returns its path.
+func writeStore(t *testing.T, refs []Ref) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "store.ltcx")
+	if err := Materialize(NewSliceSource(refs)).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestMappedStoreReleasedWhenUnreachable: a mapped store nobody closes
+// (a trace memo dropped with its job) releases its mapping once it is
+// collected, and holds no descriptor meanwhile.
+func TestMappedStoreReleasedWhenUnreachable(t *testing.T) {
+	path := writeStore(t, randRefs(7, 5000))
+	o, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped, open := mapsMention(t, path); !o.Mapped() || !mapped || open {
+		t.Fatalf("open store: Mapped %t, in maps %t, fd open %t; want mapped with no fd", o.Mapped(), mapped, open)
+	}
+	c := o.Cursor()
+	o = nil
+	runtime.GC()
+	if mapped, _ := mapsMention(t, path); !mapped {
+		t.Fatal("mapping released while a cursor still reads it")
+	}
+	if n := Count(c); n != 5000 {
+		t.Fatalf("cursor replayed %d refs, want 5000", n)
+	}
+	c = nil
+	for i := 0; ; i++ {
+		runtime.GC()
+		mapped, open := mapsMention(t, path)
+		if !mapped && !open {
+			break
+		}
+		if i == 100 {
+			t.Fatalf("unreachable store still in maps %t, fd open %t after %d collections", mapped, open, i)
+		}
+		time.Sleep(10 * time.Millisecond) // cleanups run on their own goroutine
+	}
+}
+
+// runCleanups collects garbage until every cleanup that became due has
+// run. Cleanups run on one goroutine, one queued batch after another, so
+// once a sentinel registered after an earlier sentinel ran has itself
+// run, the batch the first collection queued is done.
+func runCleanups(t *testing.T) {
+	t.Helper()
+	for range 2 {
+		done := make(chan struct{})
+		runtime.AddCleanup(new(int), func(ch chan struct{}) { close(ch) }, done)
+		for i := 0; ; i++ {
+			runtime.GC()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Millisecond):
+				if i < 100 {
+					continue
+				}
+				t.Fatal("sentinel cleanup never ran")
+			}
+			break
+		}
+	}
+}
+
+// TestCloseThenCollectUnmapsOnce: Close stops the store's cleanup, so a
+// later collection does not unmap the region again — by then it may hold
+// another store's mapping, here a second open of the same file.
+func TestCloseThenCollectUnmapsOnce(t *testing.T) {
+	refs := randRefs(8, 5000)
+	path := writeStore(t, refs)
+	a, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := &a.mapped[0]
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a = nil
+	b, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	t.Logf("second mapping reuses the closed store's region: %t", &b.mapped[0] == region)
+	runCleanups(t)
+	if mapped, _ := mapsMention(t, path); !mapped {
+		t.Fatal("second store's mapping is gone after the closed store was collected")
+	}
+	if got := replayAll(t, b.Cursor()); !reflect.DeepEqual(got, refs) {
+		t.Fatal("second store's replay diverged")
 	}
 }
 

@@ -74,8 +74,12 @@ func (r *RNG) Perm(n int) []int32 {
 }
 
 // Cycle returns a successor array describing a single random cycle over
-// [0, n) (Sattolo's algorithm): following next[i] repeatedly visits every
-// element exactly once before returning to the start.
+// [0, n): following next[i] repeatedly visits every element exactly once
+// before returning to the start. The successor construction gives that
+// guarantee for any permutation p: next[p[i]] = p[(i+1)%n] links p's
+// elements in order, last back to first. The shuffle (Sattolo's
+// j < i, where Fisher-Yates would draw j <= i) only fixes which cycle a
+// seed yields, so changing it changes every stream built on Cycle.
 func (r *RNG) Cycle(n int) []int32 {
 	p := make([]int32, n)
 	for i := range p {
@@ -85,8 +89,7 @@ func (r *RNG) Cycle(n int) []int32 {
 		j := r.Intn(i) // note: i, not i+1 — Sattolo
 		p[i], p[j] = p[j], p[i]
 	}
-	// p is now a permutation with a single cycle; convert positions to a
-	// successor map.
+	// Link p's elements in order, the last back to the first.
 	next := make([]int32, n)
 	for i := 0; i < n; i++ {
 		next[p[i]] = p[(i+1)%n]

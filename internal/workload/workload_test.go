@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +67,18 @@ func TestCycleIsSingleCycle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShufflesPinned pins the exact outputs of Cycle and Perm for one
+// seed. Every pointer-chasing layout is built from them, so a changed
+// shuffle fails here, in this package, and not only in the full-run pin.
+func TestShufflesPinned(t *testing.T) {
+	if got, want := NewRNG(1).Cycle(16), []int32{8, 7, 4, 9, 13, 12, 10, 5, 14, 6, 2, 1, 3, 15, 11, 0}; !slices.Equal(got, want) {
+		t.Errorf("NewRNG(1).Cycle(16) = %v, want %v", got, want)
+	}
+	if got, want := NewRNG(1).Perm(16), []int32{2, 11, 10, 6, 7, 13, 14, 0, 12, 5, 15, 9, 3, 8, 4, 1}; !slices.Equal(got, want) {
+		t.Errorf("NewRNG(1).Perm(16) = %v, want %v", got, want)
 	}
 }
 

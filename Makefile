@@ -15,10 +15,9 @@ race:
 	$(GO) test -race -short ./...
 
 # Core hot-path benchmarks (per-reference cost + steady-state allocs)
-# plus the ltexp-shaped whole-run wall-time entries (serial and at
-# intra-run workers), snapshotted to BENCH_core.json so PRs can track
-# the perf trajectory.
-BENCH_RE = ^(BenchmarkCoverage|BenchmarkCoverageShardedParallel|BenchmarkTimingModel|BenchmarkTraceGen|BenchmarkTraceReplay|BenchmarkExpAll|BenchmarkExpAllParallel)$$
+# plus the ltexp-shaped whole-run wall-time entry, snapshotted to
+# BENCH_core.json so PRs can track the perf trajectory.
+BENCH_RE = ^(BenchmarkCoverage|BenchmarkTimingModel|BenchmarkTraceGen|BenchmarkTraceReplay|BenchmarkExpAll)$$
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' \
@@ -32,11 +31,13 @@ bench-smoke:
 # Benchmark regression gate (CI runs this after the smoke pass):
 # re-measure the pinned benchmarks and diff against the committed
 # BENCH_core.json — >10% ns/op regression fails the build; the
-# zero-alloc benchmarks (Coverage, CoverageShardedParallel, TimingModel,
-# TraceGen, TraceReplay) must stay at 0 allocs/op with B/op pinned to
-# only go down, and the two ExpAll whole-run wall-time entries may not
-# grow their allocs or bytes beyond the same budget. Three counts,
-# best-of-N comparison (see cmd/benchdiff), to damp shared-runner noise.
+# zero-alloc benchmarks (Coverage, TimingModel, TraceGen, TraceReplay)
+# must stay at 0 allocs/op with B/op pinned to only go down, and the
+# ExpAll whole-run wall-time entry may not grow its allocs or bytes
+# beyond the same budget. Three counts, best-of-N comparison (see
+# cmd/benchdiff), to damp shared-runner noise. Tier-1's TestZeroAllocPins
+# holds the allocation pins, with BenchmarkCoverageSharded, without a
+# snapshot.
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' \
 		-benchmem -count 3 -json . > BENCH_new.json
@@ -73,9 +74,9 @@ fmt:
 
 # Regenerate EXPERIMENTS.md, the one pin of what the simulator prints,
 # from a serial run. Tier-1's TestCellCacheFullAllRun must reproduce its
-# fenced block at -parallel 8 -workers 8, and TestPinnedCacheVersion pins
-# the block's sha256 with the cache version (DESIGN.md §12).
+# fenced block at -parallel 8, and TestPinnedCacheVersion pins the
+# block's sha256 with the cache version (DESIGN.md §12).
 experiments:
 	$(GO) run ./cmd/ltexp -exp all -q -parallel 1 > EXPERIMENTS.tmp && \
-		{ printf '# EXPERIMENTS — measured results (small scale, seed 1)\n\nRegenerated by `make experiments` (`ltexp -exp all -q -parallel 1`): the\nserial reference that tier-1 pins. `TestCellCacheFullAllRun` must\nreproduce the block below byte for byte with 8 cell workers and 8\nintra-run workers. Use `-json` for structured output and `-cache-dir D`\nto persist results so a repeat run executes zero simulations.\nPaper-versus-measured commentary lives in the report notes.\n\n```\n'; cat EXPERIMENTS.tmp; printf '```\n'; } > EXPERIMENTS.md && \
+		{ printf '# EXPERIMENTS — measured results (small scale, seed 1)\n\nRegenerated by `make experiments` (`ltexp -exp all -q -parallel 1`): the\nserial reference that tier-1 pins. `TestCellCacheFullAllRun` must\nreproduce the block below byte for byte with 8 cell workers. Use\n`-json` for structured output and `-cache-dir D` to persist results so\na repeat run executes zero simulations. Paper-versus-measured\ncommentary lives in the report notes.\n\n```\n'; cat EXPERIMENTS.tmp; printf '```\n'; } > EXPERIMENTS.md && \
 		rm EXPERIMENTS.tmp

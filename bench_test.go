@@ -1,7 +1,9 @@
 // Package repro's root benchmarks: the hot-path and whole-run entries
 // that `make bench` snapshots into BENCH_core.json and `make bench-check`
-// gates (BENCH_RE in the Makefile names them). Per-experiment and
-// per-layer timings live in the repository benchmark under bench/.
+// gates (BENCH_RE in the Makefile names them), and TestZeroAllocPins,
+// which holds the steady-state ones to 0 allocs/op and their B/op pins.
+// Per-experiment and per-layer timings live in the repository benchmark
+// under bench/.
 //
 // Run them:
 //
@@ -59,19 +61,12 @@ func BenchmarkCoverage(b *testing.B) {
 	}
 }
 
-// BenchmarkCoverageShardedParallel measures the sharded multi-context
-// driver in steady state: a 4-program consolidation stream routed to
-// per-context cache shards with partitioned LT-cords state, at Workers 4.
-// The stream demultiplexes into per-context segments consumed by
-// shard-owning worker goroutines, with segment buffers recycled through a
-// free list, so the steady state stays zero-alloc and results
-// byte-identical.
-func BenchmarkCoverageShardedParallel(b *testing.B) {
-	benchSharded(b, 4)
-}
-
-func benchSharded(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkCoverageSharded measures the sharded multi-context driver in
+// steady state: a 4-program consolidation stream routed by sim.Run to
+// per-context cache shards with partitioned LT-cords state. Each batch is
+// handed to the shards as maximal same-context runs, so the steady state
+// stays zero-alloc.
+func BenchmarkCoverageSharded(b *testing.B) {
 	mk := func() trace.Source {
 		var progs []workload.ConsolProgram
 		for _, name := range []string{"gcc", "gzip", "swim", "mcf"} {
@@ -89,7 +84,7 @@ func benchSharded(b *testing.B, workers int) {
 	b.ResetTimer()
 	sc, err := sim.Run(src,
 		func(int) sim.Prefetcher { return core.MustNew(sim.PaperL1D(), core.DefaultParams()) },
-		sim.Config{Contexts: 4, Workers: workers})
+		sim.Config{Contexts: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,22 +149,9 @@ func BenchmarkTraceReplay(b *testing.B) {
 // every experiment generates its traces again: the loop also prices the
 // cross-job trace reuse a memory-only daemon gives up.
 func BenchmarkExpAll(b *testing.B) {
-	benchExpAll(b, 0)
-}
-
-// BenchmarkExpAllParallel is BenchmarkExpAll with intra-run workers enabled:
-// consolidation cells decompose into per-context shard cells co-scheduled on
-// the same CPU budget as cell-level parallelism (weighted admission), so the
-// report bytes stay identical while the wall time tracks the shard fan-out.
-func BenchmarkExpAllParallel(b *testing.B) {
-	benchExpAll(b, 8)
-}
-
-func benchExpAll(b *testing.B, workers int) {
-	b.Helper()
 	for i := 0; i < b.N; i++ {
 		sched := runner.New(0)
-		o := exp.Options{Scale: workload.Small, Benchmarks: []string{"swim", "mcf", "gzip"}, Runner: sched, Workers: workers}
+		o := exp.Options{Scale: workload.Small, Benchmarks: []string{"swim", "mcf", "gzip"}, Runner: sched}
 		for _, id := range exp.IDs() {
 			if _, err := exp.Run(id, o); err != nil {
 				b.Fatalf("%s: %v", id, err)
@@ -191,5 +173,51 @@ func BenchmarkTraceGen(b *testing.B) {
 			want = remaining
 		}
 		remaining -= src.ReadRefs(buf[:want])
+	}
+}
+
+// TestZeroAllocPins holds the five steady-state benchmarks to the
+// zero-alloc pipeline invariant (DESIGN.md §7) on any machine: each runs
+// through testing.Benchmark and must report 0 allocs/op, with B/op at
+// most its pinned residual — the LT-cords predictor's lazily populated
+// sequence store, amortized over b.N (8, 10 and 11 B/op for Coverage,
+// CoverageSharded and TimingModel) — plus 2 bytes for the jitter of that
+// amortization with the iteration count. The predictor-free TraceGen and
+// TraceReplay allocate nothing at all. A run slowed by a busy machine
+// divides the same population bytes by a smaller b.N, so, as
+// `make bench-check` does, B/op is the best of up to three runs; every
+// run must report 0 allocs/op.
+func TestZeroAllocPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark runs are not short")
+	}
+	for _, pin := range []struct {
+		name     string
+		bench    func(*testing.B)
+		maxBytes int64
+	}{
+		{"BenchmarkCoverage", BenchmarkCoverage, 10},
+		{"BenchmarkCoverageSharded", BenchmarkCoverageSharded, 12},
+		{"BenchmarkTimingModel", BenchmarkTimingModel, 13},
+		{"BenchmarkTraceGen", BenchmarkTraceGen, 0},
+		{"BenchmarkTraceReplay", BenchmarkTraceReplay, 0},
+	} {
+		bop := int64(-1)
+		for try := 0; try < 3 && (bop < 0 || bop > pin.maxBytes); try++ {
+			r := testing.Benchmark(pin.bench)
+			if r.N == 0 {
+				t.Fatalf("%s failed", pin.name)
+			}
+			if got := r.AllocsPerOp(); got != 0 {
+				t.Errorf("%s: %d allocs/op, want 0", pin.name, got)
+			}
+			t.Logf("%s: %s %s", pin.name, r, r.MemString())
+			if got := r.AllocedBytesPerOp(); bop < 0 || got < bop {
+				bop = got
+			}
+		}
+		if bop > pin.maxBytes {
+			t.Errorf("%s: %d B/op in the best of three runs, want at most %d", pin.name, bop, pin.maxBytes)
+		}
 	}
 }

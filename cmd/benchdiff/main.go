@@ -7,13 +7,13 @@
 //   - a zero-alloc benchmark (0 allocs/op in the old snapshot) must stay
 //     at 0 allocs/op, and its B/op — the amortized setup bytes — may only
 //     go down;
-//   - the three steady-state benchmarks with a known residual-byte
+//   - the two steady-state benchmarks with a known residual-byte
 //     budget instead have their B/op pinned to an absolute ceiling
 //     (residualPins, plus a small jitter allowance): the bytes are the
 //     predictor's lazily-populated sequence-store frames (DESIGN.md §7),
 //     and the pin keeps that residual from ratcheting upward across PRs
 //     even if a snapshot refresh would otherwise re-baseline it;
-//   - an allocating benchmark (the whole-run wall-time entries) may not
+//   - an allocating benchmark (the whole-run wall-time entry) may not
 //     grow its allocs/op or B/op beyond the same allowed percentage.
 //
 // Usage:
@@ -133,9 +133,8 @@ func main() {
 // two with the iteration count the benchmark scheduler picks, so the
 // check allows residualSlack on top of the pin.
 var residualPins = map[string]int64{
-	"BenchmarkCoverage":                8,
-	"BenchmarkCoverageShardedParallel": 10,
-	"BenchmarkTimingModel":             11,
+	"BenchmarkCoverage":    8,
+	"BenchmarkTimingModel": 11,
 }
 
 // residualSlack absorbs b.N-dependent amortization jitter on the pinned

@@ -6,7 +6,6 @@
 //	ltexp -exp consol               # sharded 2/4/8-context consolidation mixes
 //	ltexp -exp all -scale medium    # every experiment at medium scale
 //	ltexp -exp all -parallel 8      # fan simulation cells over 8 workers
-//	ltexp -exp consol -workers 8    # intra-run parallelism inside sharded cells
 //	ltexp -exp all -json            # structured output for bench tracking
 //	ltexp -exp table3 -bench mcf,em3d,swim
 //	ltexp -exp all -cache-dir ~/.cache/ltexp   # persistent warm-start cache
@@ -17,10 +16,9 @@
 // pool (internal/runner); one scheduler is shared across the whole
 // invocation, so cells repeated between figures (baseline timing runs,
 // correlation analyses, oracle coverage runs) are simulated exactly once.
-// -workers additionally parallelizes inside a single sharded simulation
-// cell (the consolidation mixes); cells that fan out declare a matching
-// scheduler weight, so the two knobs share one CPU budget. Reports are
-// byte-identical at any -parallel and -workers values.
+// The cell is the only unit of parallelism: -parallel sets how many run at
+// once, and each simulation inside a cell runs serially. Reports are
+// byte-identical at any -parallel value.
 //
 // -cache-dir extends the cell cache across invocations: results persist
 // in a content-addressed on-disk store (internal/cachedir) keyed by cell
@@ -58,7 +56,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		benches  = flag.String("bench", "", "comma-separated benchmark subset (default: experiment's own)")
 		parallel = flag.Int("parallel", 0, "simulation cell workers (0 = GOMAXPROCS)")
-		workers  = flag.Int("workers", 0, "intra-run workers inside one sharded simulation cell (0/1 = serial)")
 		jsonOut  = flag.Bool("json", false, "emit one JSON envelope instead of text reports")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		quiet    = flag.Bool("q", false, "suppress progress output")
@@ -116,7 +113,6 @@ func main() {
 		Experiments: []string{*expID},
 		Scale:       *scale,
 		Seed:        *seed,
-		Workers:     *workers,
 		Cache:       cdir,
 	}
 	if *benches != "" {

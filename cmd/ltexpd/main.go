@@ -1,5 +1,5 @@
 // Command ltexpd serves experiment jobs over HTTP: the same experiment
-// ids, scale/seed/workers knobs and report bytes as ltexp, behind a
+// ids, scale/seed/benchmark knobs and report bytes as ltexp, behind a
 // long-running daemon that shares ONE cell scheduler (and, with
 // -cache-dir, one persistent content-addressed cache) across every job
 // it ever runs — so concurrent users sweeping overlapping

@@ -7,15 +7,14 @@
 //	ltsim -bench swim -pred ghb -timing        # timing run (IPC, traffic)
 //	ltsim -bench art -pred dbcp -timing -l2 4  # with a 4MB L2
 //	ltsim -trace mix.ltcx -contexts 4          # sharded multi-context coverage
-//	ltsim -trace mix.ltcx -contexts 4 -workers 4 -sharedpred=false
+//	ltsim -trace mix.ltcx -contexts 4 -sharedpred
 //	ltsim -list                                # list benchmarks
 //
 // -contexts N routes a multi-context trace (context-tagged references,
 // e.g. a consolidation mix recorded by lttrace) through the sharded
 // coverage engine: each context gets a private cache hierarchy, with
 // predictor state partitioned per context or (-sharedpred) shared across
-// the mix. -workers parallelizes partitioned shards; results are
-// byte-identical at any worker count.
+// the mix.
 //
 // -trace replays an LTCX store (lttrace -out) through an mmap-backed
 // cursor. A run that stops on a malformed record, or simulates a
@@ -85,8 +84,7 @@ func run() int {
 		l2mb     = flag.Int("l2", 1, "L2 size in MB (timing mode)")
 		withL2   = flag.Bool("withl2", false, "track L2 misses in coverage mode")
 		ctxs     = flag.Int("contexts", 1, "shard count for multi-context traces (coverage mode; >1 selects the sharded engine)")
-		workers  = flag.Int("workers", 0, "intra-run worker goroutines for partitioned sharded coverage (0/1 = serial)")
-		shpred   = flag.Bool("sharedpred", false, "share one predictor across contexts (sharded mode; forces serial)")
+		shpred   = flag.Bool("sharedpred", false, "share one predictor across contexts (sharded mode)")
 		list     = flag.Bool("list", false, "list benchmark presets and exit")
 		perfect  = flag.Bool("perfect", false, "perfect L1 (timing mode upper bound)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
@@ -233,7 +231,7 @@ func run() int {
 				panic(err) // name already validated above
 			}
 			return p
-		}, sim.Config{WithL2: *withL2, Contexts: *ctxs, SharedState: *shpred, Workers: *workers})
+		}, sim.Config{WithL2: *withL2, Contexts: *ctxs, SharedState: *shpred})
 		if err == nil {
 			err = checkReplay(store, cur, sc.Refs)
 		}
@@ -241,7 +239,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "ltsim:", err)
 			return 1
 		}
-		fmt.Printf("trace:        %s (%d contexts, shared-predictor=%t, workers=%d)\n", p.Name, *ctxs, *shpred, *workers)
+		fmt.Printf("trace:        %s (%d contexts, shared-predictor=%t)\n", p.Name, *ctxs, *shpred)
 		fmt.Printf("predictor:    %s\n", sc.Predictor)
 		fmt.Printf("references:   %d\n", sc.Refs)
 		fmt.Printf("merged:       opportunity=%d correct=%d (%.1f%%) incorrect=%.1f%% train=%.1f%% early=%.1f%%\n",

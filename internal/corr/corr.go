@@ -69,11 +69,6 @@ type Result struct {
 	// LastTouchDistHist is the |last-touch to miss correlation distance|
 	// histogram (Figure 7).
 	LastTouchDistHist *stats.Log2Histogram
-
-	// DeadTimes is the eviction dead-time histogram in instruction-clock
-	// units (the cycle-accurate Figure 2 variant lives in the timing
-	// engine).
-	DeadTimes *stats.Log2Histogram
 }
 
 // PerfectFrac is the fraction of misses with distance +1.
@@ -160,7 +155,6 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 		DistHist:          stats.NewLog2Histogram(cfg.HistBuckets),
 		SeqLenHist:        stats.NewLog2Histogram(cfg.HistBuckets),
 		LastTouchDistHist: stats.NewLog2Histogram(cfg.HistBuckets),
-		DeadTimes:         stats.NewLog2Histogram(cfg.HistBuckets),
 	}
 
 	lastIdx := make(map[MissLabel]uint64, 1<<16)
@@ -200,7 +194,6 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 			label := MissLabel{PC: refBuf[i].PC, Block: geo.BlockAddr(lanes.Addrs[i])}
 			if r.Evicted.Valid {
 				label.Evicted = r.Evicted.Addr
-				res.DeadTimes.Add(r.Evicted.DeadTime)
 				if len(evicts) < cfg.MaxEvictions {
 					if len(evicts) == cap(evicts) {
 						// Double: append's 1.25x steps for large slices

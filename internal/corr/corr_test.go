@@ -116,17 +116,6 @@ func TestSequenceLengths(t *testing.T) {
 	}
 }
 
-func TestDeadTimesCollected(t *testing.T) {
-	src := workload.ArraySweep(workload.SweepConfig{
-		Base: 0x100000, Arrays: 1, Elems: 8192, Stride: 64, Iters: 3, PCBase: 0x10,
-		Gap: workload.Gaps{Mean: 3},
-	})
-	r := analyze(t, src)
-	if r.DeadTimes.Total() == 0 {
-		t.Error("no dead times")
-	}
-}
-
 func TestEmptySource(t *testing.T) {
 	r := analyze(t, trace.NewSliceSource(nil))
 	if r.Misses != 0 || r.PerfectFrac() != 0 || r.UncorrelatedFrac() != 0 {

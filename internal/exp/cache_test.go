@@ -24,7 +24,7 @@ func renderPass(t *testing.T, root string, ids, benches []string) (map[string]st
 	}
 	s := runner.New(4)
 	s.SetStore(dir)
-	o := Options{Scale: workload.Small, Benchmarks: benches, Runner: s, Cache: dir, Workers: 2}
+	o := Options{Scale: workload.Small, Benchmarks: benches, Runner: s, Cache: dir}
 	out := map[string]string{}
 	for _, id := range ids {
 		rep, err := Run(id, o)

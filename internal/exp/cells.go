@@ -357,44 +357,23 @@ func (o Options) shardCoverageCell(p workload.Preset, ctx int, params core.Param
 	}}
 }
 
-// consolCoverageCell runs one server-consolidation mix through the sharded
-// coverage engine: every program gets a private cache hierarchy (its
-// shard), with predictor state either shared across contexts or
-// partitioned per context.
-//
-// The two modes execute differently. Shared state needs the global
+// consolCoverageCell runs one server-consolidation mix with predictor
+// state shared across its contexts: every program gets a private cache
+// hierarchy (its shard), and one predictor observes the global
 // interleaved reference order, so the mix is consolidated and driven
-// through sim.Run serially. Partitioned shards are each exactly a
-// standalone run of their context's stream, so the cell decomposes into
-// per-context shard cells (quantum-independent, deduplicated across
-// mixes) fanned out over Options.Workers nested workers and merged
-// deterministically — the cell's Weight declares that fan-out to the
-// scheduler. Both paths produce byte-identical results at any Workers.
-func (o Options) consolCoverageCell(s *runner.Scheduler, progs []workload.ConsolProgram, shared bool, params core.Params) runner.Task[sim.ShardedCoverage] {
+// through sim.Run. The partitioned configuration needs no cell of its
+// own: each of its shards is exactly a shardCoverageCell, which runConsol
+// submits beside this one and folds with sim.MergeShards.
+func (o Options) consolCoverageCell(progs []workload.ConsolProgram, params core.Params) runner.Task[sim.ShardedCoverage] {
 	names := make([]string, len(progs))
 	quanta := make([]uint64, len(progs))
 	for i, p := range progs {
 		names[i] = p.Preset.Name
 		quanta[i] = p.Quantum
 	}
-	key := fmt.Sprintf("consolcov|scale%d|seed%d|mix=%s|q=%v|shared=%t|pf=lt{%s}",
-		o.Scale, o.seed(), strings.Join(names, "+"), quanta, shared, fp(params))
-	weight := 1
-	if !shared && o.workers() > 1 {
-		weight = min(o.workers(), len(progs))
-	}
-	return runner.Task[sim.ShardedCoverage]{Key: key, Weight: weight, Codec: resultCodec, Run: func() (sim.ShardedCoverage, error) {
-		if !shared {
-			tasks := make([]runner.Task[sim.Coverage], len(progs))
-			for i, p := range progs {
-				tasks[i] = o.shardCoverageCell(p.Preset, i, params, sim.Config{})
-			}
-			covs, err := runner.AllNested(o.ctx(), s, tasks, o.workers())
-			if err != nil {
-				return sim.ShardedCoverage{}, err
-			}
-			return sim.MergeShards(covs), nil
-		}
+	key := fmt.Sprintf("consolcov|scale%d|seed%d|mix=%s|q=%v|shared=true|pf=lt{%s}",
+		o.Scale, o.seed(), strings.Join(names, "+"), quanta, fp(params))
+	return runner.Task[sim.ShardedCoverage]{Key: key, Codec: resultCodec, Run: func() (sim.ShardedCoverage, error) {
 		srcs, quanta, err := o.consolCursors(progs)
 		if err != nil {
 			return sim.ShardedCoverage{}, err

@@ -47,31 +47,34 @@ var consolMixes = []struct {
 func runConsol(o Options) (*Report, error) {
 	quantum := suiteQuantum(o.Scale)
 
-	// Two sharded cells per mix: partitioned (each shard its context's
-	// standalone run, deduplicated across mixes) and shared state.
-	s := o.sched()
-	var mixTasks []runner.Task[sim.ShardedCoverage]
+	// Per mix, one shared-state cell and one shard cell per context: the
+	// partitioned configuration is its contexts' standalone runs, folded
+	// in the reduction. Shard keys carry neither the mix nor the quantum,
+	// so a context the mixes share (each is a prefix of the next) is
+	// simulated once.
+	var sharedTasks []runner.Task[sim.ShardedCoverage]
+	var shardTasks []runner.Task[sim.Coverage]
 	for _, mix := range consolMixes {
 		var progs []workload.ConsolProgram
-		for _, name := range mix.progs {
+		for ctx, name := range mix.progs {
 			p, ok := workload.ByName(name)
 			if !ok {
 				return nil, fmt.Errorf("consol: missing preset %s", name)
 			}
 			progs = append(progs, workload.ConsolProgram{Preset: p, Quantum: quantum(p)})
+			shardTasks = append(shardTasks, o.shardCoverageCell(p, ctx, core.DefaultParams(), sim.Config{}))
 		}
-		mixTasks = append(mixTasks,
-			o.consolCoverageCell(s, progs, false, core.DefaultParams()),
-			o.consolCoverageCell(s, progs, true, core.DefaultParams()))
+		sharedTasks = append(sharedTasks, o.consolCoverageCell(progs, core.DefaultParams()))
 	}
-	mixRes, err := runner.All(o.ctx(), s, mixTasks)
+	sharedRes, shardRes, err := runner.All2(o.ctx(), o.sched(), sharedTasks, shardTasks)
 	if err != nil {
 		return nil, err
 	}
 
 	tab := textplot.NewTable("mix", "program", "standalone", "shared")
 	for mi, mix := range consolMixes {
-		solo, shared := mixRes[2*mi], mixRes[2*mi+1]
+		solo, shared := sim.MergeShards(shardRes[:len(mix.progs)]), sharedRes[mi]
+		shardRes = shardRes[len(mix.progs):]
 		for ci, name := range mix.progs {
 			tab.AddRow(fmt.Sprintf("%s(%d)", mix.name, len(mix.progs)), name,
 				textplot.Pct(solo.Ctx(ci).CoveragePct()),

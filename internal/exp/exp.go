@@ -48,12 +48,6 @@ type Options struct {
 	// Parallelism is the worker count for simulation cells (0 =
 	// GOMAXPROCS). Ignored when Runner is set.
 	Parallelism int
-	// Workers is the intra-run worker count a single sharded simulation
-	// cell may use (0 or 1 = serial). Cells that fan out declare a
-	// matching runner weight, so cell-level parallelism (Parallelism) and
-	// intra-run parallelism share one CPU budget instead of
-	// oversubscribing; reports are byte-identical at any Workers value.
-	Workers int
 	// Runner, when non-nil, is a shared cell scheduler: its result cache
 	// spans every experiment submitted to it (cmd/ltexp shares one
 	// scheduler across an -exp all invocation so repeated cells are
@@ -95,13 +89,6 @@ func (o Options) ctx() context.Context {
 		return o.Context
 	}
 	return context.Background()
-}
-
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 func (o Options) seed() uint64 {

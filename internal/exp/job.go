@@ -29,9 +29,6 @@ type JobSpec struct {
 	// Benchmarks restricts runs to the named presets (empty = each
 	// experiment's default set).
 	Benchmarks []string `json:"benchmarks,omitempty"`
-	// Workers is the intra-run worker count inside one sharded cell
-	// (see Options.Workers).
-	Workers int `json:"workers,omitempty"`
 
 	// Cache, when non-nil, is the persistent cell/trace cache the job's
 	// cells read and write (the daemon shares one across all jobs).
@@ -81,9 +78,6 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 			return JobSpec{}, fmt.Errorf("exp: unknown benchmark %q", name)
 		}
 	}
-	if out.Workers < 0 {
-		return JobSpec{}, fmt.Errorf("exp: negative workers %d", out.Workers)
-	}
 	return out, nil
 }
 
@@ -129,7 +123,6 @@ func RunJob(ctx context.Context, spec JobSpec, sched *runner.Scheduler) (*JobRes
 		Scale:      sc,
 		Seed:       spec.Seed,
 		Benchmarks: spec.Benchmarks,
-		Workers:    spec.Workers,
 		Runner:     sched,
 		Cache:      spec.Cache,
 		Progress:   spec.Progress,

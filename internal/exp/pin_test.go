@@ -76,19 +76,19 @@ func firstDiff(got, want []byte, first int) string {
 }
 
 // TestCellCacheFullAllRun is the pin. It runs the whole `-exp all` job at
-// Small scale, seed 1 — what `ltexp -exp all -q -parallel 8 -workers 8`
-// prints — and requires those bytes to equal EXPERIMENTS.md's fenced
-// block. The block is the serial reference, so the same run checks that
-// every report is deterministic across cell and intra-run parallelism. It
-// also holds the scheduler's acceptance bar: across the run the job's
-// cells — results on the shared scheduler plus traces in the job's memo
-// (JobResult.Stats) — are at least 30% eliminated.
+// Small scale, seed 1 — what `ltexp -exp all -q -parallel 8` prints — and
+// requires those bytes to equal EXPERIMENTS.md's fenced block. The block
+// is the serial reference, so the same run checks that every report is
+// deterministic across cell parallelism. It also holds the scheduler's
+// acceptance bar: across the run the job's cells — results on the shared
+// scheduler plus traces in the job's memo (JobResult.Stats) — are at
+// least 30% eliminated.
 func TestCellCacheFullAllRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full -exp all run is not short")
 	}
 	s := runner.New(8)
-	res, err := RunJob(context.Background(), JobSpec{Workers: 8}, s)
+	res, err := RunJob(context.Background(), JobSpec{}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,28 +133,24 @@ func pinnedReport(t *testing.T, id string) (string, int) {
 	return sec, first + strings.Count(s[:start], "\n")
 }
 
-// checkPinnedReport renders one report at the two corners of cell
-// parallelism x intra-run workers {1,8}^2 that neither `make experiments`
-// (1, 1) nor the pinned full run (8, 8) exercises, and requires both to
-// equal the report's section of the pin.
+// checkPinnedReport renders one report serially, the cell parallelism
+// the pinned full run (at 8) does not exercise, and requires it to equal
+// the report's section of the pin.
 func checkPinnedReport(t *testing.T, id string) {
 	t.Helper()
 	if testing.Short() {
-		t.Skipf("%s at mixed parallelism is not short", id)
+		t.Skipf("%s at parallelism 1 is not short", id)
 	}
 	want, line := pinnedReport(t, id)
-	for _, c := range [][2]int{{1, 8}, {8, 1}} {
-		got := renderAt(t, id, nil, c[0], c[1])
-		if got != want {
-			t.Errorf("%s (parallelism %d, workers %d, %d bytes) differs from its report in EXPERIMENTS.md (%d bytes); %s",
-				id, c[0], c[1], len(got), len(want), firstDiff([]byte(got), []byte(want), line))
-		}
+	if got := renderAt(t, id, nil, 1); got != want {
+		t.Errorf("%s (parallelism 1, %d bytes) differs from its report in EXPERIMENTS.md (%d bytes); %s",
+			id, len(got), len(want), firstDiff([]byte(got), []byte(want), line))
 	}
 }
 
 // The multi-programmed reports: fig11 interleaves two programs in one
-// stream, and consol's sharded cells are where intra-run workers split
-// and merge contexts.
+// stream, and consol merges each partitioned mix from its per-context
+// cells in the reduction.
 func TestFig11Golden(t *testing.T)  { checkPinnedReport(t, "fig11") }
 func TestConsolGolden(t *testing.T) { checkPinnedReport(t, "consol") }
 

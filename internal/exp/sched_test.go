@@ -10,13 +10,13 @@ import (
 	"repro/internal/workload"
 )
 
-// renderAt runs an experiment at the given cell parallelism and intra-run
-// worker count and returns the rendered report bytes.
-func renderAt(t *testing.T, id string, benches []string, par, workers int) string {
+// renderAt runs an experiment at the given cell parallelism and returns
+// the rendered report bytes.
+func renderAt(t *testing.T, id string, benches []string, par int) string {
 	t.Helper()
-	rep, err := Run(id, Options{Scale: workload.Small, Benchmarks: benches, Parallelism: par, Workers: workers})
+	rep, err := Run(id, Options{Scale: workload.Small, Benchmarks: benches, Parallelism: par})
 	if err != nil {
-		t.Fatalf("%s (parallelism %d, workers %d): %v", id, par, workers, err)
+		t.Fatalf("%s (parallelism %d): %v", id, par, err)
 	}
 	var sb strings.Builder
 	rep.Render(&sb)
@@ -25,16 +25,15 @@ func renderAt(t *testing.T, id string, benches []string, par, workers int) strin
 
 // TestParallelDeterminism asserts the scheduler's guarantee on a quick
 // subset that also runs under -race: the same seed produces
-// byte-identical reports at parallelism/workers 1 and 8 (deterministic
-// cells plus ordered reduction plus the deterministic shard merge). The
-// pin (TestCellCacheFullAllRun) checks every report at 8 and 8 against
-// the serial reference.
+// byte-identical reports at parallelism 1 and 8 (deterministic cells
+// plus ordered reduction). The pin (TestCellCacheFullAllRun) checks every
+// report at parallelism 8 against the serial reference.
 func TestParallelDeterminism(t *testing.T) {
 	for _, id := range []string{"fig6left", "fig7", "fig9"} {
-		serial := renderAt(t, id, []string{"swim"}, 1, 1)
-		parallel := renderAt(t, id, []string{"swim"}, 8, 8)
+		serial := renderAt(t, id, []string{"swim"}, 1)
+		parallel := renderAt(t, id, []string{"swim"}, 8)
 		if serial != parallel {
-			t.Errorf("%s: parallelism/workers 1 and 8 reports differ:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			t.Errorf("%s: parallelism 1 and 8 reports differ:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				id, serial, parallel)
 		}
 	}

@@ -111,21 +111,21 @@ func TestMapCtxCancelStopsQueuedCells(t *testing.T) {
 	}
 }
 
-// TestAcquireCancelledWhileQueued pins that a heavy cell parked in the
+// TestAcquireCancelledWhileQueued pins that a cell parked in the
 // admission queue aborts promptly when its context fires, instead of
-// waiting for tokens that a long-running cell holds.
+// waiting for the token a long-running cell holds.
 func TestAcquireCancelledWhileQueued(t *testing.T) {
-	s := New(2)
+	s := New(1)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	heavy := []Cell{{Key: "hog", Weight: 2, Run: func() (any, error) {
+	hog := []Cell{{Key: "hog", Run: func() (any, error) {
 		close(started)
 		<-release
 		return 1, nil
 	}}}
 	hogDone := make(chan error, 1)
 	go func() {
-		_, err := s.Map(context.Background(), heavy)
+		_, err := s.Map(context.Background(), hog)
 		hogDone <- err
 	}()
 	<-started

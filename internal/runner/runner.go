@@ -10,18 +10,19 @@
 // bit-identical at any parallelism. Cells that several figures share
 // (the baseline timing runs, the correlation analyses, the oracle-DBCP
 // coverage runs) are simulated exactly once per scheduler and served from
-// the cache afterwards.
+// the cache afterwards. The cell is the only unit of parallelism: a
+// simulation inside a cell runs on one goroutine.
 //
-// Cell Run functions must be deterministic and self-contained: they build
-// their own trace sources and predictors, and they may submit nested cells
-// through Do (nested cells execute inline in the calling worker, so no
-// worker is ever parked waiting for a free slot) or fan them out through
-// MapNested/AllNested, passing their job's context so a cancellation
-// reaches the nested cells too. Cells that run intra-cell workers declare
-// a Weight: Map admits cells against a token budget of Parallelism, so
-// cell-level and intra-run parallelism share one CPU budget instead of
-// oversubscribing. Cached results are shared between all consumers of a
-// key and must be treated as immutable.
+// Map admits each cell against one token budget of Parallelism, shared by
+// every batch submitted to the scheduler, so the concurrent jobs of a
+// daemon never run more cells at once than there are workers. A cell body
+// may submit a nested cell through Do, which runs it inline on the
+// calling worker without a token, but it must not call Map, All or All2
+// on its own scheduler: the nested batch would wait for the token its own
+// worker holds. Cell Run functions must be deterministic and
+// self-contained: they build their own trace sources and predictors.
+// Cached results are shared between all consumers of a key and must be
+// treated as immutable.
 package runner
 
 import (
@@ -42,14 +43,6 @@ type Cell struct {
 	Key string
 	// Run computes the cell's value. It must be deterministic.
 	Run func() (any, error)
-	// Weight declares the cell's CPU demand in scheduler admission tokens
-	// (0 counts as 1). A cell that fans out intra-cell workers (via
-	// MapNested/AllNested) declares how many of the scheduler's workers it
-	// occupies, so cell-level and intra-run parallelism share one CPU
-	// budget instead of oversubscribing. Weights are clamped to the
-	// scheduler's capacity; Weight only gates admission through Map —
-	// a direct Do never blocks.
-	Weight int
 	// Codec, when non-nil, makes the cell persistable: if the scheduler
 	// has a CacheStore attached, a miss in the in-memory map consults the
 	// store (Codec.Decode revives the value without running the cell) and
@@ -169,9 +162,8 @@ type Scheduler struct {
 	cells map[string]*entry
 	stats Stats
 
-	// Weighted admission: Map holds avail tokens (capacity = workers)
-	// while a cell runs, weighted by Cell.Weight, so heavy cells that fan
-	// out intra-cell workers reserve their share of the one CPU budget.
+	// Admission: Map holds one of avail tokens (capacity = workers) while
+	// a cell runs, so batches submitted at once share one CPU budget.
 	admitMu sync.Mutex
 	admit   *sync.Cond
 	avail   int
@@ -187,25 +179,17 @@ func New(parallelism int) *Scheduler {
 	return s
 }
 
-// acquire claims w admission tokens, blocking until they free up, and
-// returns the clamped weight to release. Clamping to capacity makes the
-// scheme deadlock-free: any single cell can always eventually be
-// admitted, whatever its declared weight. A context cancellation while
-// waiting abandons the claim: acquire returns 0 tokens and the context's
-// error — the admission queue is exactly where "queued but unstarted"
-// cells park, so this is the seam that makes job cancellation prompt.
-func (s *Scheduler) acquire(ctx context.Context, w int) (int, error) {
-	if w < 1 {
-		w = 1
-	}
-	if w > s.workers {
-		w = s.workers
-	}
+// acquire claims one admission token, blocking until one frees up. A
+// context cancellation while waiting abandons the claim and returns the
+// context's error — the admission queue is exactly where "queued but
+// unstarted" cells park, so this is the seam that makes job cancellation
+// prompt.
+func (s *Scheduler) acquire(ctx context.Context) error {
 	s.admitMu.Lock()
-	if s.avail >= w { // no wait, so nothing for the context to wake
-		s.avail -= w
+	if s.avail > 0 { // no wait, so nothing for the context to wake
+		s.avail--
 		s.admitMu.Unlock()
-		return w, nil
+		return nil
 	}
 	s.admitMu.Unlock()
 	// Wake our cond wait when the context fires; Broadcast is cheap and
@@ -213,22 +197,22 @@ func (s *Scheduler) acquire(ctx context.Context, w int) (int, error) {
 	stop := context.AfterFunc(ctx, func() { s.admit.Broadcast() })
 	defer stop()
 	s.admitMu.Lock()
-	for s.avail < w {
+	for s.avail == 0 {
 		if err := ctx.Err(); err != nil {
 			s.admitMu.Unlock()
-			return 0, err
+			return err
 		}
 		s.admit.Wait()
 	}
-	s.avail -= w
+	s.avail--
 	s.admitMu.Unlock()
-	return w, nil
+	return nil
 }
 
-// release returns tokens claimed by acquire.
-func (s *Scheduler) release(w int) {
+// release returns the token claimed by acquire.
+func (s *Scheduler) release() {
 	s.admitMu.Lock()
-	s.avail += w
+	s.avail++
 	s.admitMu.Unlock()
 	s.admit.Broadcast()
 }
@@ -425,44 +409,21 @@ func (s *Scheduler) persist(c Cell, v any) bool {
 
 // Map executes a batch of cells across the worker pool and returns their
 // values in submission order (the ordered reduction that keeps reports
-// deterministic). Each cell's Weight is acquired from the scheduler's
-// admission tokens before it runs — an all-weight-1 batch behaves exactly
-// as a plain worker pool, while a heavy cell (one that fans out
-// MapNested workers) holds its share of the budget so the machine is
-// never oversubscribed. The first failing cell — first in submission
-// order among those that ran — aborts the batch: workers stop claiming
-// new cells and its error is returned. Cells already in flight run to
-// completion and stay cached.
+// deterministic). Each cell holds one of the scheduler's admission tokens
+// while it runs, so batches submitted at once never run more than
+// Parallelism cells together. The first failing cell — first in
+// submission order among those that ran — aborts the batch: workers stop
+// claiming new cells and its error is returned. Cells already in flight
+// run to completion and stay cached.
 //
 // When ctx fires, workers stop claiming queued cells (and abandon
 // admission waits) immediately; cells already executing run to
 // completion and stay cached. The batch then fails with the context's
 // error unless an earlier cell error takes precedence.
 func (s *Scheduler) Map(ctx context.Context, cells []Cell) ([]any, error) {
-	return s.mapPool(ctx, cells, s.workers, true)
-}
-
-// MapNested executes cells on up to n goroutines inside a running cell,
-// without touching the scheduler's admission tokens: the calling cell's
-// Weight already reserved the CPU budget its nested workers consume.
-// Nested cells are still memoized through Do, so shards shared between
-// outer cells (consolidation mixes that are prefixes of each other)
-// execute once. Results return in submission order; ctx cancels as in
-// Map, and the calling cell passes its own job's context.
-func (s *Scheduler) MapNested(ctx context.Context, cells []Cell, n int) ([]any, error) {
-	return s.mapPool(ctx, cells, n, false)
-}
-
-// mapPool is the shared worker-pool body of Map and MapNested.
-func (s *Scheduler) mapPool(ctx context.Context, cells []Cell, workers int, admit bool) ([]any, error) {
 	out := make([]any, len(cells))
 	errs := make([]error, len(cells))
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(s.workers, len(cells))
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -475,17 +436,12 @@ func (s *Scheduler) mapPool(ctx context.Context, cells []Cell, workers int, admi
 				if i >= len(cells) || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				if admit {
-					held, err := s.acquire(ctx, cells[i].Weight)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					out[i], errs[i] = s.Do(ctx, cells[i])
-					s.release(held)
-				} else {
-					out[i], errs[i] = s.Do(ctx, cells[i])
+				if err := s.acquire(ctx); err != nil {
+					errs[i] = err
+					return
 				}
+				out[i], errs[i] = s.Do(ctx, cells[i])
+				s.release()
 				if errs[i] != nil {
 					failed.Store(true)
 				}
@@ -513,8 +469,6 @@ func (s *Scheduler) mapPool(ctx context.Context, cells []Cell, workers int, admi
 type Task[T any] struct {
 	Key string
 	Run func() (T, error)
-	// Weight is the cell's admission-token demand (see Cell.Weight).
-	Weight int
 	// Codec makes the task persistable in an attached CacheStore (see
 	// Cell.Codec); the decoded value must assert back to T.
 	Codec Codec
@@ -524,7 +478,7 @@ type Task[T any] struct {
 func erase[T any](tasks []Task[T], cells []Cell) []Cell {
 	for _, t := range tasks {
 		run := t.Run
-		cells = append(cells, Cell{Key: t.Key, Run: func() (any, error) { return run() }, Weight: t.Weight, Codec: t.Codec})
+		cells = append(cells, Cell{Key: t.Key, Run: func() (any, error) { return run() }, Codec: t.Codec})
 	}
 	return cells
 }
@@ -547,17 +501,6 @@ func assert[T any](tasks []Task[T], vals []any) ([]T, error) {
 // results in submission order.
 func All[T any](ctx context.Context, s *Scheduler, tasks []Task[T]) ([]T, error) {
 	vals, err := s.Map(ctx, erase(tasks, make([]Cell, 0, len(tasks))))
-	if err != nil {
-		return nil, err
-	}
-	return assert(tasks, vals)
-}
-
-// AllNested executes typed tasks on up to n goroutines inside a running
-// cell (see MapNested): no admission tokens are taken, the caller's
-// Weight covers them.
-func AllNested[T any](ctx context.Context, s *Scheduler, tasks []Task[T], n int) ([]T, error) {
-	vals, err := s.MapNested(ctx, erase(tasks, make([]Cell, 0, len(tasks))), n)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func countingCell(key string, n *atomic.Int64, v int) Cell {
@@ -248,109 +250,49 @@ func TestAllTypeMismatch(t *testing.T) {
 	}
 }
 
-// TestWeightedAdmission: a heavy cell's Weight reserves admission tokens,
-// so the combined concurrency of light cells running beside it never
-// exceeds the scheduler's capacity minus the reserved share.
-func TestWeightedAdmission(t *testing.T) {
-	const capacity = 4
+// TestAdmissionCapAcrossBatches: batches submitted at once share the
+// scheduler's admission tokens, so three concurrent Maps on New(2) never
+// have more than 2 cells in flight together (each Map alone would run 2).
+func TestAdmissionCapAcrossBatches(t *testing.T) {
+	const capacity = 2
 	s := New(capacity)
 	var inFlight, maxSeen atomic.Int64
-	weight := func(key string, w, claim int) Cell {
-		return Cell{Key: key, Weight: w, Run: func() (any, error) {
-			cur := inFlight.Add(int64(claim))
-			for {
-				prev := maxSeen.Load()
-				if cur <= prev || maxSeen.CompareAndSwap(prev, cur) {
-					break
+	batch := func(b int) []Cell {
+		cells := make([]Cell, 8)
+		for i := range cells {
+			cells[i] = Cell{Key: fmt.Sprintf("b%d/c%d", b, i), Run: func() (any, error) {
+				cur := inFlight.Add(1)
+				for {
+					prev := maxSeen.Load()
+					if cur <= prev || maxSeen.CompareAndSwap(prev, cur) {
+						break
+					}
 				}
+				time.Sleep(time.Millisecond)
+				inFlight.Add(-1)
+				return nil, nil
+			}}
+		}
+		return cells
+	}
+	var wg sync.WaitGroup
+	for b := 0; b < 3; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Map(context.Background(), batch(b)); err != nil {
+				t.Error(err)
 			}
-			inFlight.Add(int64(-claim))
-			return nil, nil
-		}}
+		}()
 	}
-	cells := []Cell{weight("heavy", 3, 3)}
-	for i := 0; i < 24; i++ {
-		cells = append(cells, weight(fmt.Sprintf("light%d", i), 1, 1))
-	}
-	if _, err := s.Map(context.Background(), cells); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	if got := maxSeen.Load(); got > capacity {
-		t.Errorf("peak claimed weight %d exceeds capacity %d", got, capacity)
-	}
-}
-
-// TestWeightClamped: a weight beyond capacity is admitted anyway
-// (deadlock freedom) and over-releases nothing.
-func TestWeightClamped(t *testing.T) {
-	s := New(2)
-	cells := []Cell{
-		{Key: "w9", Weight: 9, Run: func() (any, error) { return 1, nil }},
-		{Key: "w0", Weight: -1, Run: func() (any, error) { return 2, nil }},
-	}
-	vals, err := s.Map(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0].(int) != 1 || vals[1].(int) != 2 {
-		t.Errorf("vals = %v", vals)
+		t.Errorf("peak cells in flight %d exceeds capacity %d", got, capacity)
 	}
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	if s.avail != 2 {
-		t.Errorf("avail = %d after batch, want full capacity 2", s.avail)
-	}
-}
-
-// TestMapNested: nested fan-out inside a running cell takes no admission
-// tokens, dedupes through the cache, and keeps submission order.
-func TestMapNested(t *testing.T) {
-	s := New(2)
-	var inner atomic.Int64
-	outer := Cell{Key: "outer", Weight: 2, Run: func() (any, error) {
-		tasks := make([]Task[int], 8)
-		for i := range tasks {
-			i := i
-			tasks[i] = Task[int]{Key: fmt.Sprintf("shard%d", i%4), Run: func() (int, error) {
-				inner.Add(1)
-				return i % 4, nil
-			}}
-		}
-		vals, err := AllNested(context.Background(), s, tasks, 4)
-		if err != nil {
-			return nil, err
-		}
-		sum := 0
-		for i, v := range vals {
-			if v != i%4 {
-				return nil, fmt.Errorf("vals[%d] = %d", i, v)
-			}
-			sum += v
-		}
-		return sum, nil
-	}}
-	v, err := s.Do(context.Background(), outer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(int) != 12 {
-		t.Errorf("sum = %v want 12", v)
-	}
-	if inner.Load() != 4 {
-		t.Errorf("nested cells executed %d times, want 4 (deduped)", inner.Load())
-	}
-}
-
-// TestMapNestedError: a nested failure aborts the nested batch and
-// surfaces with the nested cell named.
-func TestMapNestedError(t *testing.T) {
-	s := New(1)
-	_, err := s.MapNested(context.Background(), []Cell{
-		{Key: "ok", Run: func() (any, error) { return nil, nil }},
-		{Key: "nested-bad", Run: func() (any, error) { return nil, errBoom }},
-	}, 2)
-	if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "nested-bad") {
-		t.Errorf("err = %v", err)
+	if s.avail != capacity {
+		t.Errorf("avail = %d after the batches, want full capacity %d", s.avail, capacity)
 	}
 }
 

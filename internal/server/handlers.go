@@ -34,8 +34,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // handleSubmit accepts a JobSpec and queues it.
 //
 //	POST /v1/jobs  {"experiments":["fig8"],"scale":"small","seed":1,
-//	                "benchmarks":["swim"],"workers":0}
+//	                "benchmarks":["swim"]}
 //	→ 202 {"id":"j...","state":"queued",...}
+//
+// Unknown fields are a 400.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec exp.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))

@@ -89,8 +89,8 @@ type runFunc func(ctx context.Context, spec exp.JobSpec, sched *runner.Scheduler
 // Manager owns the job table and the run slots. All jobs execute
 // against one shared scheduler (the cross-job cell dedup that makes a
 // sweep-heavy daemon cheap); MaxActive bounds how many jobs occupy run
-// slots at once, with the scheduler's weighted admission arbitrating
-// actual CPU inside that.
+// slots at once, and the scheduler's admission (one token per running
+// cell) caps the cells those jobs run together at its parallelism.
 type Manager struct {
 	sched   *runner.Scheduler
 	cache   *cachedir.Dir

@@ -149,6 +149,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"scale":"galactic"}`,
 		`{"benchmarks":["not-a-benchmark"]}`,
 		`{"unknown_field":1}`,
+		`{"workers":4}`, // intra-run workers are gone: the field is unknown
 		`{garbage`,
 	} {
 		req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body))

@@ -9,12 +9,6 @@ import "fmt"
 // cache (internal/cachedir) relies on this to serve cells across process
 // restarts.
 //
-// Deliberately excluded:
-//
-//   - Workers: results are byte-identical at any worker count (the §11
-//     determinism contract), so a warm cache must hit regardless of how
-//     the cold run was parallelized.
-//
 // The encoding is part of the on-disk cache format: adding a field here
 // is a schema change, and semantic changes invisible to these fields
 // must bump the content-address version stamp (DESIGN.md §12).

@@ -9,8 +9,8 @@ import (
 )
 
 // Config parameterizes a coverage run: the cache hierarchy every shard
-// instantiates, plus the run topology (shard count, predictor-state
-// sharing, intra-run worker count). RunCoverage is the single-hierarchy
+// instantiates, plus the run topology (shard count and predictor-state
+// sharing). RunCoverage is the single-hierarchy
 // special case (one shard consuming the whole stream); Run is the sharded
 // multi-context engine, and both consume the same Config.
 type Config struct {
@@ -31,14 +31,8 @@ type Config struct {
 	// sharing predictor state, the premise of the paper's Figure 11. When
 	// false each shard owns a private predictor (partitioned state), which
 	// makes every shard exactly equivalent to a standalone RunCoverage
-	// over that context's references. Shared state requires the global
-	// stream order, so such runs stay serial regardless of Workers.
+	// over that context's references.
 	SharedState bool
-	// Workers bounds the goroutines a single Run may use (0 or 1 =
-	// serial). Results are byte-identical at any worker count: every
-	// shard's references are processed in stream order by exactly one
-	// goroutine and the merge folds shards in context order.
-	Workers int
 }
 
 // applyDefaults resolves zero-valued cache configurations to the paper's.
@@ -404,8 +398,7 @@ func (s *covShard) finish() Coverage {
 // stream, so every context shares the caches and the predictor (the
 // paper's Figure 11 setup), and the classification still splits per
 // context into PerCtx. Multi-shard topologies (cfg.Contexts > 1) go
-// through Run; cfg.Workers is irrelevant here (one shard is one
-// goroutine's worth of strictly ordered work).
+// through Run.
 func RunCoverage(src trace.Source, pf Prefetcher, cfg Config) (Coverage, error) {
 	if cfg.Contexts > 1 {
 		return Coverage{}, fmt.Errorf("sim: RunCoverage is the single-shard case; use Run for %d contexts", cfg.Contexts)

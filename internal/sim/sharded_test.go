@@ -207,12 +207,12 @@ func TestSharedStateCoverageRecovers(t *testing.T) {
 	}
 }
 
-// TestShardedParallelEquivalence pins the intra-run guarantee: the
-// parallel demux (Run at Workers > 1) and per-context RunCoverage runs
-// merged by MergeShards both produce results byte-identical to the
-// serial sharded run — which TestShardedEquivalence in turn pins to the
-// per-Ctx-filtered monolithic runs — at any worker count. Runs under -race to catch
-// sharing bugs between the pump, the shard workers and the merge.
+// TestShardedParallelEquivalence pins the decomposition that lets a
+// partitioned mix run in parallel as cells: standalone RunCoverage runs
+// over each context's references, folded by MergeShards, reproduce the
+// serial interleaved Run exactly — the path exp's consol reduction takes.
+// The Ctx-filtered subsequences are exactly what Run routes to each
+// shard; WithL2 covers the per-shard L2 pairs and their merged counters.
 func TestShardedParallelEquivalence(t *testing.T) {
 	limit := uint64(400_000)
 	if testing.Short() {
@@ -221,49 +221,22 @@ func TestShardedParallelEquivalence(t *testing.T) {
 	refs := consolStream(t, limit)
 	const contexts = 4
 
-	serial, err := sim.Run(trace.NewSliceSource(refs), newLT, sim.Config{Contexts: contexts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		par, err := sim.Run(trace.NewSliceSource(refs), newLT,
-			sim.Config{Contexts: contexts, Workers: workers})
+	for _, withL2 := range []bool{false, true} {
+		serial, err := sim.Run(trace.NewSliceSource(refs), newLT, sim.Config{WithL2: withL2, Contexts: contexts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(par, serial) {
-			t.Errorf("Workers=%d: parallel demux diverges from serial run", workers)
+		shards := make([]sim.Coverage, contexts)
+		for ctx := range shards {
+			shards[ctx], err = sim.RunCoverage(trace.NewSliceSource(filterCtx(refs, uint8(ctx))), newLT(ctx),
+				sim.Config{WithL2: withL2})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-
-	// Per-context runs merged: the Ctx-filtered subsequences are exactly
-	// what the demux routes to each shard, so standalone RunCoverage runs
-	// over them, folded by MergeShards, must reproduce the same result —
-	// the path exp takes for partitioned consolidation mixes.
-	shards := make([]sim.Coverage, contexts)
-	for ctx := range shards {
-		shards[ctx], err = sim.RunCoverage(trace.NewSliceSource(filterCtx(refs, uint8(ctx))), newLT(ctx), sim.Config{})
-		if err != nil {
-			t.Fatal(err)
+		if merged := sim.MergeShards(shards); !reflect.DeepEqual(merged, serial) {
+			t.Errorf("WithL2=%t: per-context RunCoverage + MergeShards diverges from the serial interleaved run", withL2)
 		}
-	}
-	if merged := sim.MergeShards(shards); !reflect.DeepEqual(merged, serial) {
-		t.Error("per-context RunCoverage + MergeShards diverges from serial interleaved run")
-	}
-
-	// WithL2 exercises the per-shard L2 pairs under the parallel demux.
-	l2serial, err := sim.Run(trace.NewSliceSource(refs), newLT,
-		sim.Config{WithL2: true, Contexts: contexts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2par, err := sim.Run(trace.NewSliceSource(refs), newLT,
-		sim.Config{WithL2: true, Contexts: contexts, Workers: contexts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l2par, l2serial) {
-		t.Error("WithL2 parallel demux diverges from serial run")
 	}
 }
 
@@ -280,27 +253,24 @@ func TestShardedSparseContexts(t *testing.T) {
 			refs = append(refs, r)
 		}
 	}
-	for _, workers := range []int{1, 3} {
-		sc, err := sim.Run(trace.NewSliceSource(refs), newLT,
-			sim.Config{Contexts: 3, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sc.Refs != uint64(len(refs)) {
-			t.Fatalf("workers=%d: merged refs = %d want %d", workers, sc.Refs, len(refs))
-		}
-		if sc.Predictor == "" {
-			t.Errorf("workers=%d: merged Predictor empty on a sparse mix", workers)
-		}
-		if sc.Shards[1].Refs != 0 || sc.PerCtx[1] != (sim.CtxCoverage{}) {
-			t.Errorf("workers=%d: skipped context 1 accumulated state: %+v", workers, sc.Shards[1])
-		}
-		if sc.Shards[0].Refs == 0 || sc.Shards[2].Refs == 0 {
-			t.Errorf("workers=%d: populated contexts empty: %d/%d refs", workers, sc.Shards[0].Refs, sc.Shards[2].Refs)
-		}
-		if got := sc.Shards[0].Refs + sc.Shards[2].Refs; got != sc.Refs {
-			t.Errorf("workers=%d: shard refs %d don't sum to merged %d", workers, got, sc.Refs)
-		}
+	sc, err := sim.Run(trace.NewSliceSource(refs), newLT, sim.Config{Contexts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Refs != uint64(len(refs)) {
+		t.Fatalf("merged refs = %d want %d", sc.Refs, len(refs))
+	}
+	if sc.Predictor == "" {
+		t.Errorf("merged Predictor empty on a sparse mix")
+	}
+	if sc.Shards[1].Refs != 0 || sc.PerCtx[1] != (sim.CtxCoverage{}) {
+		t.Errorf("skipped context 1 accumulated state: %+v", sc.Shards[1])
+	}
+	if sc.Shards[0].Refs == 0 || sc.Shards[2].Refs == 0 {
+		t.Errorf("populated contexts empty: %d/%d refs", sc.Shards[0].Refs, sc.Shards[2].Refs)
+	}
+	if got := sc.Shards[0].Refs + sc.Shards[2].Refs; got != sc.Refs {
+		t.Errorf("shard refs %d don't sum to merged %d", got, sc.Refs)
 	}
 
 	// MergeShards directly: an empty leading shard must not blank the

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-check warm-check serve-check fault-check fmt experiments
+.PHONY: build test race fuzz bench bench-smoke bench-check warm-check serve-check fault-check fmt experiments
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,16 @@ test:
 # the plain `test` target covers those).
 race:
 	$(GO) test -race -short ./...
+
+# Fuzzing pass (CI runs it in its own job): each Fuzz target for 20 s
+# beyond its seed corpus, which plain `go test` already runs. The go
+# command fuzzes one target per invocation.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMaterializeRoundTrip$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenStore$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzInterleaveN$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessBatchHitsEquivalence$$' -fuzztime 20s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeMatchesReference$$' -fuzztime 20s ./internal/corr
 
 # Core hot-path benchmarks (per-reference cost + steady-state allocs)
 # plus the ltexp-shaped whole-run wall-time entry, snapshotted to

@@ -15,10 +15,17 @@
 //
 // A miss is labeled by the tuple (miss PC, miss block address, evicted
 // block address), following the paper's footnote 1.
+//
+// Per miss, Analyze does one hash probe: the miss claims its label's slot
+// in an open-addressing index and carries the slot to the next miss,
+// which reads both labels' last indexes from their slots and records the
+// first one's new index. Figure 7's eviction log is appended in miss
+// order and ordered by last touch with a stable radix sort, linear in
+// the log. The tests keep the built-in-map and comparison-sort version
+// this replaced as a naive reference that Analyze must match exactly.
 package corr
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/cache"
@@ -122,13 +129,125 @@ type evictRec struct {
 	lastTouch uint64
 }
 
-// byLastTouch orders evictions by (lastTouch, missIdx), a total order
-// since miss indexes are unique.
-func byLastTouch(a, b evictRec) int {
-	if c := cmp.Compare(a.lastTouch, b.lastTouch); c != 0 {
-		return c
+// labelIndex maps each miss label to the last miss index recorded for it:
+// open addressing with linear probing over 32-byte slots, so a probe
+// reads the key and its value from one cache line, doubling at 3/4 load
+// like dbcp's unlimited table (DESIGN.md §9). A miss claims its label's
+// slot on first sight and Analyze carries that slot to the next miss,
+// which fills in the value, so each miss costs one probe where a
+// built-in map cost two lookups and an assign.
+type labelIndex struct {
+	slots []labelSlot
+	shift uint8 // 64 - log2(len(slots)): home takes the top hash bits
+	n     int
+}
+
+type labelSlot struct {
+	label MissLabel
+	// follow is the index of the miss that followed the label's latest
+	// occurrence, so the label's last index is follow-1. 1 marks a
+	// claimed slot no miss has followed yet (miss indexes start at 1, so
+	// no miss follows another with index 1), 0 an empty slot. A label
+	// counts as seen only once follow > 1.
+	follow uint64
+}
+
+// labelIndexInitBits sizes the first table at 4K slots (128KB); the Small
+// presets grow it to 64K-128K.
+const labelIndexInitBits = 12
+
+// home folds the three label fields with distinct odd multipliers and
+// takes the top bits of a golden-ratio product (Fibonacci hashing), which
+// depend on every input bit: block-aligned addresses have all-zero low
+// bits.
+func (t *labelIndex) home(l MissLabel) int {
+	h := uint64(l.PC)*0xC2B2AE3D27D4EB4F ^ uint64(l.Block) ^ uint64(l.Evicted)*0x165667B19E3779F9
+	return int((h * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// claim returns l's slot, claiming an empty one on first sight. keep is a
+// slot index the caller holds (or -1); it comes back at its new place if
+// the claim grew the table.
+func (t *labelIndex) claim(l MissLabel, keep int) (slot, kept int) {
+	mask := len(t.slots) - 1
+	i := t.home(l)
+	for t.slots[i].follow != 0 {
+		if t.slots[i].label == l {
+			return i, keep
+		}
+		i = (i + 1) & mask
 	}
-	return cmp.Compare(a.missIdx, b.missIdx)
+	if t.n >= len(t.slots)/4*3 {
+		keep = t.grow(keep)
+		mask = len(t.slots) - 1
+		i = t.home(l)
+		for t.slots[i].follow != 0 {
+			i = (i + 1) & mask
+		}
+	}
+	t.slots[i] = labelSlot{label: l, follow: 1}
+	t.n++
+	return i, keep
+}
+
+// grow doubles the table, rehashes every claimed slot and returns where
+// slot keep (or -1) landed.
+func (t *labelIndex) grow(keep int) int {
+	old := t.slots
+	t.slots = make([]labelSlot, 2*len(old))
+	t.shift--
+	mask := len(t.slots) - 1
+	kept := -1
+	for j := range old {
+		if old[j].follow == 0 {
+			continue
+		}
+		i := t.home(old[j].label)
+		for t.slots[i].follow != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = old[j]
+		if j == keep {
+			kept = i
+		}
+	}
+	return kept
+}
+
+// sortByLastTouch orders the eviction log by (lastTouch, missIdx), a
+// total order since miss indexes are unique. The log is appended in miss
+// order, so a stable LSD radix sort on lastTouch alone yields it: 16-bit
+// digits, only as many passes as the largest key needs, one scratch log
+// and one count array. It returns the sorted log, which is either evicts
+// or the scratch.
+func sortByLastTouch(evicts []evictRec) []evictRec {
+	var top uint64
+	for _, e := range evicts {
+		top |= e.lastTouch
+	}
+	if len(evicts) < 2 || top == 0 {
+		return evicts
+	}
+	src, dst := evicts, make([]evictRec, len(evicts))
+	count := make([]int, 1<<16)
+	for shift := uint(0); shift < 64 && top>>shift != 0; shift += 16 {
+		clear(count)
+		for _, e := range src {
+			count[uint16(e.lastTouch>>shift)]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, e := range src {
+			d := uint16(e.lastTouch >> shift)
+			dst[count[d]] = e
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Analyze runs the miss-stream study over src.
@@ -157,9 +276,8 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 		LastTouchDistHist: stats.NewLog2Histogram(cfg.HistBuckets),
 	}
 
-	lastIdx := make(map[MissLabel]uint64, 1<<16)
-	var prevLabel MissLabel
-	havePrev := false
+	labels := labelIndex{slots: make([]labelSlot, 1<<labelIndexInitBits), shift: 64 - labelIndexInitBits}
+	prev := -1 // the previous miss's label slot
 	var missIdx uint64
 	var evicts []evictRec
 
@@ -204,11 +322,14 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 				}
 			}
 
-			if havePrev {
-				pX, okX := lastIdx[prevLabel]
-				pY, okY := lastIdx[label]
-				if okX && okY {
-					dist := int64(pY) - int64(pX)
+			cur, last := labels.claim(label, prev) // last: prev, moved by any growth
+			if last >= 0 {
+				// The pair (previous miss, this miss) recurs when both
+				// labels were seen before; their distance is that of
+				// their last indexes, follow-1 each.
+				fX, fY := labels.slots[last].follow, labels.slots[cur].follow
+				if fX > 1 && fY > 1 {
+					dist := int64(fY) - int64(fX)
 					if dist == 1 {
 						res.PerfectPairs++
 					}
@@ -226,20 +347,16 @@ func Analyze(src trace.Source, cfg Config) (Result, error) {
 					res.Uncorrelated++
 					endRun()
 				}
-				lastIdx[prevLabel] = missIdx - 1
+				labels.slots[last].follow = missIdx
 			}
-			prevLabel = label
-			havePrev = true
+			prev = cur
 		}
-	}
-	if havePrev {
-		lastIdx[prevLabel] = missIdx
 	}
 	endRun()
 
 	// Figure 7: order evictions by last-touch time and compare against
 	// miss order.
-	slices.SortFunc(evicts, byLastTouch)
+	evicts = sortByLastTouch(evicts)
 	for i := 1; i < len(evicts); i++ {
 		d := int64(evicts[i].missIdx) - int64(evicts[i-1].missIdx)
 		if d < 0 {

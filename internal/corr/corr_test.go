@@ -8,6 +8,47 @@ import (
 	"repro/internal/workload"
 )
 
+// checkConservation asserts that a Result counts every miss exactly once:
+// each miss after the first has a correlation distance or is
+// uncorrelated, and the sequence-length runs hold exactly the misses
+// whose distance is within window. window must be a power of two, so
+// that it is a log2 bucket bound.
+func checkConservation(t *testing.T, r Result, window int64) {
+	t.Helper()
+	if pairs := max(r.Misses, 1) - 1; r.DistHist.Total()+r.Uncorrelated != pairs {
+		t.Errorf("%d distances + %d uncorrelated != %d consecutive miss pairs",
+			r.DistHist.Total(), r.Uncorrelated, pairs)
+	}
+	var within uint64
+	for i := 0; i < r.DistHist.Buckets(); i++ {
+		if r.DistHist.UpperBound(i) <= uint64(window) {
+			within += r.DistHist.Count(i)
+		}
+	}
+	if r.SeqLenHist.Total() != within {
+		t.Errorf("sequence runs hold %d misses, %d have |distance| <= %d",
+			r.SeqLenHist.Total(), within, window)
+	}
+}
+
+// BenchmarkAnalyze measures one Analyze call per op over a materialized
+// Small trace: replay, the L1 filter and the miss bookkeeping.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, name := range []string{"mcf", "swim", "em3d", "gzip"} {
+		p, _ := workload.ByName(name)
+		m := trace.Materialize(p.Source(workload.Small, 1))
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Analyze(m.Cursor(), Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.Refs()), "ns/ref")
+		})
+	}
+}
+
 func analyze(t *testing.T, src trace.Source) Result {
 	t.Helper()
 	r, err := Analyze(src, Config{})

@@ -87,6 +87,28 @@ func makeLanes(n int) lanes {
 	}
 }
 
+// extend appends n empty entries to every lane and returns the first
+// one's index. A full lane is copied into one of twice its length, but
+// never longer than limit, the table's nominal capacity, so a run that
+// touches every set ends with the lanes an up-front table would have.
+func (l *lanes) extend(n, limit int) int {
+	base := len(l.sigs)
+	l.sigs = extendLane(l.sigs, n, limit)
+	l.meta = extendLane(l.meta, n, limit)
+	l.lru = extendLane(l.lru, n, limit)
+	l.repl = extendLane(l.repl, n, limit)
+	return base
+}
+
+func extendLane[T any](s []T, n, limit int) []T {
+	if len(s)+n > cap(s) {
+		t := make([]T, len(s), min(max(2*len(s), len(s)+n, 1024), limit))
+		copy(t, s)
+		s = t
+	}
+	return s[:len(s)+n] // lanes only grow, so the spare capacity is still zero
+}
+
 func (l *lanes) conf(i int) uint8 { return l.meta[i] &^ laneValid }
 
 func (l *lanes) setConf(i int, c uint8) { l.meta[i] = laneValid | c }
@@ -217,7 +239,12 @@ type Predictor struct {
 	mask      uint32
 	live      int
 
-	// Finite variant: set-associative, LRU.
+	// Finite variant: set-associative, LRU. A set's assoc ways are
+	// appended to the lanes on the set's first insert, so a run allocates
+	// only the sets it touches (Figure 4's 32MB table would be 88MB of
+	// lanes up front). setBase[s] is 1 + the index of set s's first way,
+	// 0 while s is untouched.
+	setBase []uint32
 	setMask uint32
 	assoc   int
 
@@ -265,7 +292,7 @@ func New(l1 cache.Config, p Params) (*Predictor, error) {
 	for sets*2*p.Assoc <= entries {
 		sets *= 2
 	}
-	pr.tab = makeLanes(sets * p.Assoc)
+	pr.setBase = make([]uint32, sets)
 	pr.setMask = uint32(sets - 1)
 	pr.assoc = p.Assoc
 	return pr, nil
@@ -295,12 +322,13 @@ func (pr *Predictor) Stats() Stats {
 	return s
 }
 
-// Entries reports the table capacity in entries (0 = unlimited).
+// Entries reports the table capacity in entries (0 = unlimited): every
+// set's ways, touched or not.
 func (pr *Predictor) Entries() int {
 	if pr.unlimited {
 		return 0
 	}
-	return len(pr.tab.sigs)
+	return len(pr.setBase) * pr.assoc
 }
 
 // home spreads the 32-bit signature with the golden-ratio multiplier,
@@ -325,7 +353,11 @@ func (pr *Predictor) find(sig history.Signature) int {
 		}
 		return -1
 	}
-	base := int(uint32(sig)&pr.setMask) * pr.assoc
+	b := pr.setBase[uint32(sig)&pr.setMask]
+	if b == 0 {
+		return -1
+	}
+	base := int(b - 1)
 	for i := base; i < base+pr.assoc; i++ {
 		if t.meta[i] != 0 && t.sigs[i] == sig {
 			return i
@@ -359,7 +391,11 @@ func (pr *Predictor) insertNew(sig history.Signature, repl mem.Addr) {
 		pr.live++
 		return
 	}
-	base := int(uint32(sig)&pr.setMask) * pr.assoc
+	set := uint32(sig) & pr.setMask
+	if pr.setBase[set] == 0 {
+		pr.setBase[set] = uint32(t.extend(pr.assoc, len(pr.setBase)*pr.assoc)) + 1
+	}
+	base := int(pr.setBase[set] - 1)
 	victim, oldest := base, uint64(1)<<63
 	for i := base; i < base+pr.assoc; i++ {
 		if t.meta[i] == 0 {

@@ -1,6 +1,8 @@
 package dbcp
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/history"
@@ -156,5 +158,64 @@ func TestUnlimitedDominates(t *testing.T) {
 	t.Logf("unlimited %.2f vs 8KB %.2f", covU.CoveragePct(), covF.CoveragePct())
 	if covU.CoveragePct()+0.02 < covF.CoveragePct() {
 		t.Error("unlimited DBCP must dominate a tiny table")
+	}
+}
+
+// A finite table allocates lanes only for the sets a run touches: at
+// Figure 4's largest size (32MB, 4M entries over 512K sets, 88MB of lanes
+// if allocated up front) a short stream must cost a small fraction of
+// that, while Entries still reports the nominal capacity.
+func TestFiniteTableAllocatesTouchedSets(t *testing.T) {
+	p := DefaultParams()
+	p.TableBytes = 32 * mem.MiB
+	src := workload.ArraySweep(*sweep(3))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pr := MustNew(sim.PaperL1D(), p)
+	cov, err := sim.RunCoverage(src, pr, sim.Config{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pr.Entries(), 512*1024*8; got != want {
+		t.Errorf("entries = %d want %d", got, want)
+	}
+	// No set overflows on so short a stream, so the finite table holds
+	// what the unlimited one holds and covers exactly as much.
+	oracle, err := sim.RunCoverage(workload.ArraySweep(*sweep(3)), MustNew(sim.PaperL1D(), UnlimitedParams()), sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Stats().Evictions != 0 || cov.CtxCoverage != oracle.CtxCoverage || cov.Prefetches != oracle.Prefetches {
+		t.Errorf("32MB table: %d evictions, %+v and %d prefetches; unlimited %+v and %d",
+			pr.Stats().Evictions, cov.CtxCoverage, cov.Prefetches, oracle.CtxCoverage, oracle.Prefetches)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d live entries, %.1f MB allocated", pr.TableEntries(), float64(allocated)/(1<<20))
+	if allocated > 16<<20 {
+		t.Errorf("allocated %.1f MB for %d live entries; untouched sets should cost no lanes",
+			float64(allocated)/(1<<20), pr.TableEntries())
+	}
+}
+
+// Lanes grow with the sets a run touches but never past the nominal
+// capacity: a table small enough for a sweep to touch every set ends with
+// lanes of exactly Entries() entries, below the first growth step's 1024
+// and at an associativity that doubling from 1024 overshoots.
+func TestFiniteLanesStopAtCapacity(t *testing.T) {
+	for _, tc := range []struct{ bytes, assoc int }{{2 * mem.KiB, 8}, {32 * mem.KiB, 6}} {
+		p := DefaultParams()
+		p.TableBytes, p.Assoc = tc.bytes, tc.assoc
+		pr := MustNew(sim.PaperL1D(), p)
+		if _, err := sim.RunCoverage(workload.ArraySweep(*sweep(3)), pr, sim.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		n, l := pr.Entries(), &pr.tab
+		if len(l.sigs) != n {
+			t.Errorf("%d-way %dKB: sweep touched %d of %d entries' sets", tc.assoc, tc.bytes/mem.KiB, len(l.sigs), n)
+		}
+		if caps := []int{cap(l.sigs), cap(l.meta), cap(l.lru), cap(l.repl)}; slices.Max(caps) != n {
+			t.Errorf("%d-way %dKB: lane capacities %v, want %d", tc.assoc, tc.bytes/mem.KiB, caps, n)
+		}
 	}
 }
